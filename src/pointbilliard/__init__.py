@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .basis import (
     GOLDEN_RATIO,
     BilliardSpec,
-    Mode,
     ModeTable,
     basis_column,
     build_mode_table,

@@ -75,19 +75,8 @@ def weyl_density(spec: BilliardSpec) -> float:
     return spec.weyl_density
 
 
-@dataclass(frozen=True)
-class Mode:
-    mx: int
-    my: int
-    energy: float
-    index: int  # 1-based rank in the energy ordering
-
-
 class ModeTable:
-    """All modes with energy <= e_cut, sorted by (energy, mx, my).
-
-    Stored as flat arrays; ``mode(i)`` materialises a single Mode record.
-    """
+    """All modes with energy <= e_cut, sorted by (energy, mx, my), as flat arrays."""
 
     def __init__(self, spec: BilliardSpec, mx: np.ndarray, my: np.ndarray,
                  energies: np.ndarray, e_cut: float):
@@ -99,20 +88,6 @@ class ModeTable:
 
     def __len__(self) -> int:
         return self.energies.size
-
-    @property
-    def n_max(self) -> int:
-        return self.energies.size
-
-    def mode(self, i: int) -> Mode:
-        """Mode at 0-based position i of the energy ordering."""
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return Mode(int(self.mx[i]), int(self.my[i]), float(self.energies[i]), i + 1)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.mode(i)
 
     def truncated(self, n: int) -> "ModeTable":
         """First n modes, extended to keep degenerate families whole.
@@ -182,19 +157,16 @@ def mode_table_with_count(spec: BilliardSpec, n: int,
 def eval_eigenfunction(spec: BilliardSpec, mode, point) -> float | np.ndarray:
     """Normalised eigenfunction value(s) at a point inside the rectangle.
 
-    ``mode`` may be a Mode or an (mx, my) pair of scalars or arrays; the
-    cached per-scatterer tables are produced by this same code path, so both
-    agree bit for bit.
+    ``mode`` is an (mx, my) pair of scalars or arrays; the cached
+    per-scatterer tables are produced by this same code path, so both agree
+    bit for bit.
     """
     x, y = point
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"point {point!r} is not finite")
     if not spec.contains(x, y):
         raise ValidationError(f"point {point!r} lies outside the {spec.lx} x {spec.ly} rectangle")
-    if isinstance(mode, Mode):
-        mx, my = mode.mx, mode.my
-    else:
-        mx, my = mode
+    mx, my = mode
     mx = np.asarray(mx, dtype=float)
     my = np.asarray(my, dtype=float)
     norm = 2.0 / math.sqrt(spec.lx * spec.ly)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .basis import GOLDEN_RATIO, BilliardSpec, build_mode_table
+from .basis import GOLDEN_RATIO, BilliardSpec, build_mode_table, mode_table_with_count
 from .errors import PointBilliardError, ValidationError
 from .greens import GreensAccuracy, GreensEvaluator, ScattererSet
 from .solver import DEFAULT_ROOT_TOL, EnergyWindow, solve_multi, solve_single
@@ -67,7 +67,6 @@ class RunConfig:
     scatterers: ScattererSet
     window: EnergyWindow | None
     accuracy: GreensAccuracy
-    seed: int = 0
     tol: float = DEFAULT_ROOT_TOL
 
 
@@ -106,15 +105,19 @@ def config_echo(config: RunConfig) -> dict:
         "accuracy": {
             "n_max": config.accuracy.n_max,
             "tail_mode": config.accuracy.tail_mode,
-            "target_abs_err": config.accuracy.target_abs_err,
             "offdiag_block_average": config.accuracy.offdiag_block_average,
         },
-        "seed": config.seed,
         "tol": config.tol,
     }
 
 
-_KNOWN_KEYS = ("billiard", "scatterers", "window", "accuracy", "seed", "tol")
+_SECTION_KEYS = {
+    "billiard": ("lx", "ly", "mass"),
+    "scatterers": ("positions", "inv_couplings", "lambda_scale"),
+    "window": ("lo", "hi"),
+    "accuracy": ("n_max", "tail_mode", "offdiag_block_average"),
+}
+_KNOWN_KEYS = tuple(_SECTION_KEYS) + ("tol",)
 
 
 def config_from_mapping(doc: dict) -> RunConfig:
@@ -122,9 +125,12 @@ def config_from_mapping(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ValidationError("configuration must be a JSON object")
     problems = []
-    for key in doc:
+    for key, value in doc.items():
         if key not in _KNOWN_KEYS:
             problems.append(f"unknown key {key!r}")
+        elif key in _SECTION_KEYS and isinstance(value, dict):
+            problems += [f"unknown key '{key}.{sub}'" for sub in value
+                         if sub not in _SECTION_KEYS[key]]
 
     billiard = None
     b = doc.get("billiard", {})
@@ -159,14 +165,9 @@ def config_from_mapping(doc: dict) -> RunConfig:
         accuracy = GreensAccuracy(
             n_max=int(a.get("n_max", 100_000)),
             tail_mode=str(a.get("tail_mode", "integral")),
-            target_abs_err=float(a.get("target_abs_err", 1e-6)),
             offdiag_block_average=bool(a.get("offdiag_block_average", True)))
     except (ValidationError, ValueError, TypeError, AttributeError) as exc:
         problems.append(f"accuracy: {exc}")
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        problems.append(f"seed: must be a nonnegative integer, got {seed!r}")
 
     tol = doc.get("tol", DEFAULT_ROOT_TOL)
     try:
@@ -186,7 +187,7 @@ def config_from_mapping(doc: dict) -> RunConfig:
     if problems:
         raise ValidationError("invalid configuration: " + "; ".join(problems))
     return RunConfig(billiard=billiard, scatterers=scatterers, window=window,
-                     accuracy=accuracy, seed=int(seed), tol=tol)
+                     accuracy=accuracy, tol=tol)
 
 
 def load_config(path: str) -> RunConfig:
@@ -339,12 +340,12 @@ def cmd_sweep(config: RunConfig, grid, workers: int = 1,
             f"sweep varies one coupling; config has {config.scatterers.n} "
             f"scatterers")
     window = _require_window(config)
-    base = GreensEvaluator(config.billiard, config.scatterers, config.accuracy)
+    table = mode_table_with_count(config.billiard, config.accuracy.n_max)
 
     def one(inv: float) -> dict:
         scat = config.scatterers.with_inv_coupling(0, inv)
         ev = GreensEvaluator(config.billiard, scat, config.accuracy,
-                             table=base.table)
+                             table=table)
         levels = solve_single(ev, window, tol=config.tol)
         omegas = np.array([lv.omega for lv in levels])
         cfg = dataclasses.replace(config, scatterers=scat)

@@ -105,7 +105,6 @@ class GreensAccuracy:
 
     n_max: int = 100_000
     tail_mode: str = "integral"
-    target_abs_err: float = 1e-6
     offdiag_block_average: bool = True
 
     def __post_init__(self):
@@ -114,9 +113,6 @@ class GreensAccuracy:
         if self.tail_mode not in TAIL_MODES:
             raise ValidationError(
                 f"tail_mode must be one of {TAIL_MODES}, got {self.tail_mode!r}")
-        if not (math.isfinite(self.target_abs_err) and self.target_abs_err > 0.0):
-            raise ValidationError(
-                f"target_abs_err must be positive, got {self.target_abs_err!r}")
 
 
 def _is_complex(omega) -> bool:
@@ -128,8 +124,8 @@ class GreensEvaluator:
 
     Construction validates the scatterer geometry against the billiard,
     builds (or truncates) the mode table, and precomputes the counterterm
-    sums and block-average weights.  Instances are immutable in practice and
-    safe to share across threads.
+    sums and the weight matrix from which every series is summed.  Instances
+    are immutable in practice and safe to share across threads.
     """
 
     def __init__(self, billiard: BilliardSpec, scatterers: ScattererSet,
@@ -164,7 +160,7 @@ class GreensEvaluator:
         self._counterterm = (self._phi ** 2 * (self.energies / denom)[:, None]).sum(axis=0)
         self._deficiency = (self._phi ** 2 / denom[:, None]).sum(axis=0)
         self._block_weights = self._build_block_weights()
-        self._products: dict = {}
+        self._weights, self._column = self._build_weight_matrix()
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -181,35 +177,56 @@ class GreensEvaluator:
         """Eigenfunction values at the scatterers, shape (n_eff, N)."""
         return self._phi
 
-    def _build_block_weights(self):
-        """Per-mode weights realising the 3-block partial-sum average."""
-        if not self.accuracy.offdiag_block_average:
-            return None
-        width = self.mean_spacing
-        if self.energies[0] > self.cutoff_energy - 3.0 * width:
-            return None  # table too short to average; plain sums instead
-        weights = np.zeros(self.n_eff)
-        for m in range(3):
-            hi = self.cutoff_energy - m * width
-            lo = hi - width
-            cover = np.clip(hi - np.maximum(lo, self.energies), 0.0, width) / width
-            weights += cover
-        return weights / 3.0
-
-    def _block_weight_single(self, m: int):
+    def _block_cover(self, m: int) -> np.ndarray:
+        """Share of each mode inside the m-th one-spacing window below the cutoff."""
         width = self.mean_spacing
         hi = self.cutoff_energy - m * width
         lo = hi - width
         return np.clip(hi - np.maximum(lo, self.energies), 0.0, width) / width
 
-    def products(self, i: int, j: int) -> np.ndarray:
-        """phi_n(x_i) * phi_n(x_j) for every table mode, cached."""
-        key = (min(i, j), max(i, j))
-        got = self._products.get(key)
-        if got is None:
-            got = self._phi[:, key[0]] * self._phi[:, key[1]]
-            self._products[key] = got
-        return got
+    def _build_block_weights(self):
+        """Per-mode weights realising the 3-block partial-sum average."""
+        if not self.accuracy.offdiag_block_average:
+            return None
+        if self.energies[0] > self.cutoff_energy - 3.0 * self.mean_spacing:
+            return None  # table too short to average; plain sums instead
+        return (self._block_cover(0) + self._block_cover(1) + self._block_cover(2)) / 3.0
+
+    def _build_weight_matrix(self):
+        """One contiguous column per upper-triangle entry of the secular matrix.
+
+        Column column[i, j] holds phi_i * phi_j, times the block-average
+        profile off the diagonal; columns run over the upper triangle row
+        by row, the order secular_matrix fills it in.
+        """
+        n = self.n
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        weights = np.empty((self.n_eff, len(pairs)), order="F")
+        column = np.empty((n, n), dtype=int)
+        for k, (i, j) in enumerate(pairs):
+            weights[:, k] = self._phi[:, i] * self._phi[:, j]
+            if i != j and self._block_weights is not None:
+                weights[:, k] *= self._block_weights
+            column[i, j] = column[j, i] = k
+        return weights, column
+
+    def _entry(self, i: int, j: int) -> np.ndarray:
+        """Weight column of secular-matrix entry (i, j)."""
+        return self._weights[:, self._column[i, j]]
+
+    def _series(self, omega, weights, derivative: bool = False, partial: bool = False):
+        """sum_n w[n] / (omega - e_n) for each per-mode weight vector w.
+
+        derivative squares the kernel (the sign is the caller's); partial
+        gives running sums over the modes.  One 1-D dot per vector, never a
+        matrix product, so no entry depends on which others come with it.
+        """
+        kern = 1.0 / (omega - self.energies)
+        if derivative:
+            kern = kern * kern
+        if partial:
+            return [np.cumsum(w * kern) for w in weights]
+        return [w @ kern for w in weights]
 
     def nearest_level(self, omega: float):
         """(distance, 0-based index) of the closest unperturbed level."""
@@ -233,13 +250,10 @@ class GreensEvaluator:
         if hit is not None and hit[0] < width:
             raise PoleProximityError(omega, float(self.energies[hit[1]]), hit[1] + 1, width)
 
-    def _kernel(self, omega):
-        return 1.0 / (omega - self.energies)
-
     # -- diagonal (renormalised) series ----------------------------------
 
-    def _tail_diag(self, omega):
-        """Mean-field integral over the discarded high modes."""
+    def _log_tail(self, omega):
+        """Mean-field integral over the modes above the cutoff."""
         ec = self.cutoff_energy
         scale = self.billiard.mass / (2.0 * math.pi)
         half_log = 0.5 * math.log(ec * ec + self.lam * self.lam)
@@ -250,20 +264,18 @@ class GreensEvaluator:
                 f"omega={omega!r} is not below the series cutoff {ec:g}")
         return scale * (math.log(ec - omega) - half_log)
 
-    def diag(self, i: int, omega, check_pole: bool = True):
-        """Renormalised diagonal Green function at scatterer i."""
-        if check_pole:
-            self.check_pole_distance(omega)
-        value = self.products(i, i) @ self._kernel(omega) + self._counterterm[i]
-        if self.accuracy.tail_mode == "integral":
-            value = value + self._tail_diag(omega)
-        return value
-
     def tail_correction(self, omega):
         """Integral tail added to the diagonal series (0 when disabled)."""
         if self.accuracy.tail_mode != "integral":
             return 0.0
-        return self._tail_diag(omega)
+        return self._log_tail(omega)
+
+    def diag(self, i: int, omega, check_pole: bool = True):
+        """Renormalised diagonal Green function at scatterer i."""
+        if check_pole:
+            self.check_pole_distance(omega)
+        value = self._series(omega, [self._entry(i, i)])[0]
+        return value + self._counterterm[i] + self.tail_correction(omega)
 
     def counterterm(self, i: int) -> float:
         """The subtraction constant sum phi^2 * eps/(eps^2+lam^2) at scatterer i."""
@@ -290,17 +302,14 @@ class GreensEvaluator:
         top_term = (4.0 / self.billiard.area) * (w * ec + lam2) / ((ec - w) * (ec * ec + lam2))
         err = 8.0 * top_term
         if self.accuracy.tail_mode == "none":
-            scale = self.billiard.mass / (2.0 * math.pi)
-            err += abs(scale * (math.log(ec - w if w < ec else ec) -
-                                0.5 * math.log(ec * ec + lam2)))
+            err += abs(self._log_tail(w))
         return err
 
     def diag_derivative(self, i: int, omega, check_pole: bool = True):
         """d/domega of the renormalised diagonal series (always negative)."""
         if check_pole:
             self.check_pole_distance(omega)
-        kern = self._kernel(omega)
-        value = -(self.products(i, i) @ (kern * kern))
+        value = -self._series(omega, [self._entry(i, i)], derivative=True)[0]
         if self.accuracy.tail_mode == "integral":
             # the ln(e_cut - omega) tail keeps falling with omega too
             scale = self.billiard.mass / (2.0 * math.pi)
@@ -336,22 +345,15 @@ class GreensEvaluator:
                 "the i == j case is the renormalised diagonal diag()")
         if check_pole:
             self.check_pole_distance(omega)
-        p = self.products(i, j)
-        kern = self._kernel(omega)
-        if self._block_weights is None:
-            return p @ kern
-        return (p * self._block_weights) @ kern
+        return self._series(omega, [self._entry(i, j)])[0]
 
     def offdiag_with_spread(self, i: int, j: int, omega):
         """(value, spread of the last three block averages)."""
         value = self.offdiag(i, j, omega)
+        p = self._phi[:, i] * self._phi[:, j]
         if self._block_weights is None:
-            p = self.products(i, j)
-            tail_term = abs(p[-1] * self._kernel(omega)[-1])
-            return value, 3.0 * tail_term
-        p = self.products(i, j)
-        kern = self._kernel(omega)
-        blocks = [(p * self._block_weight_single(m)) @ kern for m in range(3)]
+            return value, 3.0 * abs(p[-1] * (1.0 / (omega - self.cutoff_energy)))
+        blocks = self._series(omega, [p * self._block_cover(m) for m in range(3)])
         spread = max(abs(a - b) for a in blocks for b in blocks)
         return value, spread
 
@@ -363,69 +365,27 @@ class GreensEvaluator:
         if check_pole:
             self.check_pole_distance(omega)
         n = self.n
-        dtype = complex if _is_complex(omega) else float
-        out = np.zeros((n, n), dtype=dtype)
+        sums = iter(self._series(omega, self._weights.T))
+        tail = self.tail_correction(omega)
+        out = np.empty((n, n), dtype=complex if _is_complex(omega) else float)
         for i in range(n):
-            out[i, i] = self.diag(i, omega, check_pole=False) - self.scatterers.inv_couplings[i]
+            out[i, i] = (next(sums) + self._counterterm[i] + tail
+                         - self.scatterers.inv_couplings[i])
             for j in range(i + 1, n):
-                val = self.offdiag(i, j, omega, check_pole=False)
-                out[i, j] = val
-                out[j, i] = val
+                out[i, j] = out[j, i] = next(sums)
         return out
 
     def secular_matrix_batch(self, omegas, check_pole: bool = True) -> np.ndarray:
         """Stacked secular matrices for a vector of real omegas."""
         omegas = np.asarray(omegas, dtype=float)
-        flat = omegas.ravel()
-        if check_pole:
-            for w in flat:
-                self.check_pole_distance(float(w))
-        n = self.n
-        out = np.empty((flat.size, n, n))
-        weights = self._block_weights
-        tail = 0.0
-        if self.accuracy.tail_mode == "integral":
-            scale = self.billiard.mass / (2.0 * math.pi)
-            tail = scale * (np.log(self.cutoff_energy - flat) -
-                            0.5 * math.log(self.cutoff_energy ** 2 + self.lam ** 2))
-        chunk = max(1, int(8_000_000 // max(1, self.n_eff)))
-        for lo in range(0, flat.size, chunk):
-            hi = min(flat.size, lo + chunk)
-            kern = 1.0 / (flat[lo:hi, None] - self.energies[None, :])  # (b, n_eff)
-            for i in range(n):
-                p = self.products(i, i)
-                out[lo:hi, i, i] = (kern @ p + self._counterterm[i]
-                                    - self.scatterers.inv_couplings[i])
-                for j in range(i + 1, n):
-                    p = self.products(i, j)
-                    if weights is not None:
-                        p = p * weights
-                    vals = kern @ p
-                    out[lo:hi, i, j] = vals
-                    out[lo:hi, j, i] = vals
-        if np.ndim(tail) or tail != 0.0:
-            out[:, np.arange(n), np.arange(n)] += np.atleast_1d(tail)[:, None]
-        return out.reshape(omegas.shape + (n, n))
+        mats = [self.secular_matrix(float(w), check_pole) for w in omegas.ravel()]
+        return np.array(mats).reshape(omegas.shape + (self.n, self.n))
 
     def diag_batch(self, i: int, omegas, check_pole: bool = True) -> np.ndarray:
         """diag(i, omega) for a vector of real omegas."""
         omegas = np.asarray(omegas, dtype=float)
-        flat = omegas.ravel()
-        if check_pole:
-            for w in flat:
-                self.check_pole_distance(float(w))
-        out = np.empty(flat.size)
-        p = self.products(i, i)
-        chunk = max(1, int(8_000_000 // max(1, self.n_eff)))
-        for lo in range(0, flat.size, chunk):
-            hi = min(flat.size, lo + chunk)
-            kern = 1.0 / (flat[lo:hi, None] - self.energies[None, :])
-            out[lo:hi] = kern @ p + self._counterterm[i]
-        if self.accuracy.tail_mode == "integral":
-            scale = self.billiard.mass / (2.0 * math.pi)
-            out += scale * (np.log(self.cutoff_energy - flat) -
-                            0.5 * math.log(self.cutoff_energy ** 2 + self.lam ** 2))
-        return out.reshape(omegas.shape)
+        values = [self.diag(i, float(w), check_pole) for w in omegas.ravel()]
+        return np.array(values).reshape(omegas.shape)
 
     # -- divergence witnesses ----------------------------------------------
 
@@ -442,20 +402,5 @@ class GreensEvaluator:
             if not 1 <= k <= self.n_eff:
                 raise ValidationError(
                     f"truncation {k} outside the table (1..{self.n_eff})")
-        terms = self.products(i, i) * self._kernel(omega)
-        csum = np.cumsum(terms)
-        return [float(csum[k - 1]) for k in counts]
-
-    def regularized_partial_sums(self, i: int, omega, truncations):
-        """Counterterm-included partial sums at the given truncation counts."""
-        self.check_pole_distance(omega)
-        counts = [int(k) for k in truncations]
-        for k in counts:
-            if not 1 <= k <= self.n_eff:
-                raise ValidationError(
-                    f"truncation {k} outside the table (1..{self.n_eff})")
-        lam2 = self.lam ** 2
-        p = self.products(i, i)
-        terms = p * self._kernel(omega) + p * (self.energies / (self.energies ** 2 + lam2))
-        csum = np.cumsum(terms)
+        csum = self._series(omega, [self._entry(i, i)], partial=True)[0]
         return [float(csum[k - 1]) for k in counts]

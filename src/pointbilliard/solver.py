@@ -201,7 +201,7 @@ def solve_single(
         return evaluator.diag(0, w, check_pole=False) - inv
 
     def fprime(w: float) -> float:
-        return evaluator.diag_derivative(0, w)
+        return evaluator.diag_derivative(0, w, check_pole=False)
 
     levels = []
     for a, b in _gaps(evaluator, window):
@@ -286,13 +286,16 @@ def _refine_count_step(
     return root, resid
 
 
-def _gap_grid(a: float, b: float, spacing: float, points_per_spacing: int) -> np.ndarray:
+def _gap_grid(a: float, b: float, spacing: float, points_per_spacing: int,
+              excl: float) -> np.ndarray:
     gap = b - a
-    margin = min(1e-6 * gap, 0.45 * gap)
+    # no point within two exclusion widths of a pole; _gaps drops gaps
+    # narrower than four widths, so the margin stays below half the gap
+    margin = max(1e-6 * gap, 2.0 * excl)
     inner = max(int(math.ceil(points_per_spacing * gap / spacing)), 4)
     base = np.linspace(a + margin, b - margin, inner + 2)
     # extra points hugging each pole catch curves that plunge late
-    edges = np.array([1e-4, 1e-3, 1e-2]) * gap
+    edges = np.maximum(np.array([1e-4, 1e-3, 1e-2]) * gap, margin)
     pts = np.concatenate((a + edges, base, b - edges[::-1]))
     return np.unique(pts)
 
@@ -325,7 +328,7 @@ def solve_multi(
 
     levels = []
     for a, b in _gaps(evaluator, window):
-        grid = _gap_grid(a, b, spacing, points_per_spacing)
+        grid = _gap_grid(a, b, spacing, points_per_spacing, evaluator.pole_exclusion)
         vals = [_sorted_eigenvalues(evaluator, float(w)) for w in grid]
         counts = [int(np.sum(v < 0.0)) for v in vals]
         for g in range(len(grid) - 1):

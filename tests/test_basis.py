@@ -87,7 +87,7 @@ def test_truncated_keeps_degenerate_families_whole():
 def test_eigenfunction_vanishes_on_boundary():
     spec = golden_rectangle()
     table = build_mode_table(spec, 200.0)
-    mode = table.mode(5)
+    mode = (table.mx[5], table.my[5])
     for point in [(0.0, 0.3), (spec.lx, 0.9), (0.5, 0.0), (0.2, spec.ly)]:
         assert eval_eigenfunction(spec, mode, point) == pytest.approx(0.0, abs=1e-12)
 
@@ -106,7 +106,7 @@ def test_eigenfunctions_orthonormal_by_quadrature():
     indices = [0, 3, 7]
     values = []
     for i in indices:
-        mode = table.mode(i)
+        mode = (table.mx[i], table.my[i])
         values.append(np.array([[eval_eigenfunction(spec, mode, (x, y))
                                  for y in ys] for x in xs]))
     for a in range(len(indices)):
@@ -122,7 +122,7 @@ def test_basis_column_matches_pointwise_eval(golden, generic_point):
     assert col.shape == (len(table),)
     for i in [0, 1, 10, len(table) - 1]:
         assert col[i] == pytest.approx(
-            eval_eigenfunction(golden, table.mode(i), generic_point), rel=1e-14)
+            eval_eigenfunction(golden, (table.mx[i], table.my[i]), generic_point), rel=1e-14)
 
 
 def test_mode_table_with_count_returns_enough_modes(golden):

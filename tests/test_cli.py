@@ -113,6 +113,24 @@ def test_invalid_config_reports_every_problem(tmp_path, capsys):
         assert fragment in err
 
 
+def test_unknown_nested_keys_are_rejected_by_name(tmp_path, capsys):
+    doc = {
+        "billiard": {"lx": 1.0, "height": 2.0},
+        "scatterers": {"positions": [[0.4, 0.5]], "inv_couplings": [0.3],
+                       "charge": 1.0},
+        "window": {"lo": 700.0, "hi": 800.0, "step": 1.0},
+        "accuracy": {"n_max": 3000, "target_abs_err": 1e-6},
+    }
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["spectrum", "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    for fragment in ("billiard.height", "scatterers.charge", "window.step",
+                     "accuracy.target_abs_err"):
+        assert fragment in err
+
+
 def test_inverted_window_flag_reports_the_real_problem(tmp_path, capsys):
     # the ordering complaint must survive, not get reworded as a parse error
     cfg = write_config(tmp_path, window=(800.0, 900.0))

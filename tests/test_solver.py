@@ -165,6 +165,45 @@ def test_root_count_conservation(ev2):
     assert abs(len(levels) - n_poles) <= ev2.scatterers.n
 
 
+def test_solve_single_roots_hugging_weak_poles(golden, big_table):
+    # 3e-7 of lx off the nodal line x = 25/63 lx, the mx = 126 modes in
+    # this window keep a weight of 4e-10 to 6e-9 of the mean, so their roots
+    # sit inside the pole-exclusion band; the bracketed iteration must not
+    # trip the pole check there
+    pos = ((25.0 / 63.0 + 3e-7) * golden.lx, 0.6180339887498949 * golden.ly)
+    ev = make_evaluator(golden, big_table, [pos], [0.3], n_max=100_000)
+    window = window_over_levels(ev, 20_000, 20_040)
+    levels = solve_single(ev, window)
+    e = ev.energies
+    assert len(levels) == 40
+    for k, lv in enumerate(levels, start=20_000):
+        assert e[k] < lv.omega < e[k + 1]
+
+
+def test_solve_multi_resolves_gap_narrower_than_grid_margin(
+        golden, generic_point, second_point, big_table):
+    # levels 4026 and 4027 lie 7e-4 mean spacings apart: the old grid put
+    # its first point inside their pole-exclusion bands and raised
+    ev = make_evaluator(golden, big_table, [generic_point, second_point],
+                        [0.3, -0.4], n_max=30_000)
+    e = ev.energies
+    assert e[4027] - e[4026] < 1e-3 * ev.mean_spacing
+    levels = solve_multi(ev, window_over_levels(ev, 4024, 4048))
+    roots = np.array([lv.omega for lv in levels])
+
+    def negative_count(w):
+        return int(np.sum(np.linalg.eigvalsh(ev.secular_matrix(float(w))) < 0.0))
+
+    # oracle: inside each gap the negative-eigenvalue count rises once per root
+    eps = 3.0 * ev.pole_exclusion
+    found = 0
+    for a, b in zip(e[4024:4048], e[4025:4049]):
+        inside = int(np.sum((roots > a) & (roots < b)))
+        assert inside == negative_count(b - eps) - negative_count(a + eps)
+        found += inside
+    assert found == roots.size
+
+
 def test_eigenfunction_normalized_and_zero_on_boundary(ev1_30k):
     window = window_over_levels(ev1_30k, 250, 252)
     levels = solve_single(ev1_30k, window)
