@@ -310,11 +310,13 @@ class GreensEvaluator:
         if check_pole:
             self.check_pole_distance(omega)
         value = -self._series(omega, [self._entry(i, i)], derivative=True)[0]
-        if self.accuracy.tail_mode == "integral":
-            # the ln(e_cut - omega) tail keeps falling with omega too
-            scale = self.billiard.mass / (2.0 * math.pi)
-            value = value - scale / (self.cutoff_energy - omega)
-        return value
+        return value + self._tail_slope(omega)
+
+    def _tail_slope(self, omega):
+        """d/domega of tail_correction: the ln(e_cut - omega) tail keeps falling."""
+        if self.accuracy.tail_mode != "integral":
+            return 0.0
+        return -self.billiard.mass / (2.0 * math.pi) / (self.cutoff_energy - omega)
 
     def derivative_error(self, omega) -> float:
         """Remainder bound for diag_derivative (series decays like 1/n^2)."""
@@ -364,15 +366,18 @@ class GreensEvaluator:
         the free Green function between scatterers."""
         if check_pole:
             self.check_pole_distance(omega)
-        n = self.n
-        sums = iter(self._series(omega, self._weights.T))
-        tail = self.tail_correction(omega)
-        out = np.empty((n, n), dtype=complex if _is_complex(omega) else float)
-        for i in range(n):
-            out[i, i] = (next(sums) + self._counterterm[i] + tail
-                         - self.scatterers.inv_couplings[i])
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = next(sums)
+        out = np.array(self._series(omega, self._weights.T))[self._column]
+        # one term at a time, in diag()'s order, so the diagonal is diag() - inv exactly
+        diagonal = np.diag_indices(self.n)
+        out[diagonal] += self._counterterm
+        out[diagonal] += self.tail_correction(omega)
+        out[diagonal] -= self.scatterers.inv_couplings
+        return out
+
+    def secular_matrix_derivative(self, omega) -> np.ndarray:
+        """d/domega of secular_matrix at real omega (negative definite; no pole check)."""
+        out = -np.array(self._series(omega, self._weights.T, derivative=True))[self._column]
+        out[np.diag_indices(self.n)] += self._tail_slope(omega)
         return out
 
     def secular_matrix_batch(self, omegas, check_pole: bool = True) -> np.ndarray:

@@ -5,10 +5,11 @@ diagonal = inverse coupling, with exactly one root per gap between distinct
 unperturbed levels (a second branch below the ground state opens for
 negative inverse coupling). Several scatterers: roots of the secular
 determinant. The derivative of the secular matrix is negative definite, so
-its sorted eigenvalue curves all decrease strictly in energy and the count
-of negative eigenvalues can only grow across a gap; every root is localized
-by bisecting that count, which needs no eigenvector bookkeeping and handles
-root multiplicity exactly.
+each sorted eigenvalue curve decreases strictly in energy and crosses zero
+at most once per gap; the negative-eigenvalue counts at the two ends of a
+gap name the curves that cross, and root multiplicity is the number of
+curves crossing at the same energy. Both cases find every root with the
+same bracketed iteration.
 
 All roots are reported with their bracketing gap, a scaled residual (the
 estimated root displacement, |f| / |f'|), and a kind tag.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -60,7 +61,8 @@ class PerturbedLevel:
 
     bracket is the pole pair enclosing the root (for the below-ground branch,
     the final search bracket). residual is |f|/|f'| at the accepted root, an
-    estimate of the remaining root displacement in energy units.
+    estimate of the remaining root displacement in energy units; a root
+    reported 4 ulps from its pole, the closest probe, carries that distance.
     """
 
     omega: float
@@ -117,38 +119,39 @@ def _gaps(evaluator: GreensEvaluator, window: EnergyWindow) -> Iterator[tuple[fl
     j0 = max(0, int(np.searchsorted(poles, window.lo)) - 1)
     for j in range(j0, poles.size - 1):
         a, b = float(poles[j]), float(poles[j + 1])
-        if a > window.hi:
+        # roots lie strictly inside their gap, so edge gaps hold none in the window
+        if a >= window.hi:
             break
-        if b < window.lo or b - a <= min_width:
+        if b <= window.lo or b - a <= min_width:
             continue
         yield a, b
 
 
-def _descend_from_pole(f, pole: float, gap: float, sign: float, excl: float):
-    """First offset from a pole at which f has the pole-dominated sign.
+def _descend_from_pole(f, pole: float, start: float, sign: float, missing):
+    """First probe x = pole + sign * offset with no missing(f(x)); returns (x, f(x)).
 
-    Starts at min(exclusion width, gap/1000) and shrinks toward the pole;
-    microscopic mode weights push the sign flip very close in.
+    missing(f(x)) counts the roots between x and the pole. The offset
+    starts at start and shrinks toward the pole; microscopic mode weights
+    push roots very close in. The last probe sits 4 ulps from the pole,
+    never closer: roots still missing there lie within those 4 ulps.
     """
-    d = min(excl, 1e-3 * gap)
-    floor = max(1e-15 * gap, 1e-13 * excl)
-    while d >= floor:
-        x = pole + sign * d
+    d = start
+    floor = 4.0 * math.ulp(pole)
+    while True:
+        x = pole + sign * max(d, floor)
         val = f(x)
-        if math.copysign(1.0, val) == sign:
+        if not missing(val) or d <= floor:
             return x, val
         d /= 32.0
-    raise RootBracketError(
-        f"no sign change detected within {gap:.3e}-wide gap at pole {pole!r}; "
-        "mode weight at the scatterer is below numerical resolution"
-    )
 
 
-def _hybrid_root(f, fprime, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
+def _hybrid_root(f_and_slope, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
     """Bracketed root of decreasing f: bisection with secant acceleration.
 
-    Returns (root, scaled_residual). The bracket invariant f(lo) > 0 > f(hi)
-    is maintained; secant proposals outside the open bracket fall back to
+    f_and_slope(x) returns (f(x), f'(x)); the true slope serves the
+    stopping test |f/f'| <= tol. Returns (root, scaled_residual). The
+    bracket invariant f(lo) > 0 > f(hi) is maintained; secant proposals
+    outside the open bracket, and every step after the 48th, fall back to
     bisection, so convergence is guaranteed.
     """
     if not (f_lo > 0.0 > f_hi):
@@ -157,12 +160,14 @@ def _hybrid_root(f, fprime, lo: float, f_lo: float, hi: float, f_hi: float, tol:
         )
     x_prev, f_prev = lo, f_lo
     x_cur, f_cur = hi, f_hi
-    for _ in range(200):
+    for step in range(200):
         denom = f_cur - f_prev
         x_new = x_cur - f_cur * (x_cur - x_prev) / denom if denom != 0.0 else lo
-        if not lo < x_new < hi:
+        # a secant still running after 48 steps has stalled (one iterate deep
+        # in a pole's plunge, the other creeping): bisection takes over
+        if step >= 48 or not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
-        f_new = f(x_new)
+        f_new, slope = f_and_slope(x_new)
         x_prev, f_prev = x_cur, f_cur
         x_cur, f_cur = x_new, f_new
         if f_new > 0.0:
@@ -171,7 +176,6 @@ def _hybrid_root(f, fprime, lo: float, f_lo: float, hi: float, f_hi: float, tol:
             hi, f_hi = x_new, f_new
         else:
             return x_new, 0.0
-        slope = fprime(x_cur)
         resid = abs(f_cur / slope) if slope != 0.0 else math.inf
         if resid <= tol or hi - lo <= tol:
             return x_cur, resid
@@ -191,52 +195,55 @@ def solve_single(
     """
     if evaluator.scatterers.n != 1:
         raise ValidationError("solve_single requires exactly one scatterer")
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
-    _check_window_vs_table(evaluator, window)
+    _check_inputs(evaluator, window, tol)
     inv = float(evaluator.scatterers.inv_couplings[0])
-    excl = evaluator.pole_exclusion
 
     def f(w: float) -> float:
         return evaluator.diag(0, w, check_pole=False) - inv
 
-    def fprime(w: float) -> float:
-        return evaluator.diag_derivative(0, w, check_pole=False)
+    def f_and_slope(w: float):
+        return f(w), evaluator.diag_derivative(0, w, check_pole=False)
 
     levels = []
     for a, b in _gaps(evaluator, window):
-        gap = b - a
-        lo, f_lo = _descend_from_pole(f, a, gap, +1.0, excl)
-        hi, f_hi = _descend_from_pole(f, b, gap, -1.0, excl)
-        root, resid = _hybrid_root(f, fprime, lo, f_lo, hi, f_hi, tol)
+        start = min(evaluator.pole_exclusion, 1e-3 * (b - a))
+        lo, f_lo = _descend_from_pole(f, a, start, +1.0, lambda v: v < 0.0)
+        hi, f_hi = _descend_from_pole(f, b, start, -1.0, lambda v: v >= 0.0)
+        if f_lo <= 0.0:  # root within 4 ulps of the left pole
+            root, resid = lo, lo - a
+        elif f_hi >= 0.0:  # ... or of the right one
+            root, resid = hi, b - hi
+        else:
+            root, resid = _hybrid_root(f_and_slope, lo, f_lo, hi, f_hi, tol)
         if window.contains(root):
             levels.append(PerturbedLevel(root, (a, b), _BETWEEN, resid))
 
     first_pole = float(evaluator.energies[_pole_mask(evaluator).argmax()])
     if inv < 0.0 and window.lo < first_pole:
-        lvl = _below_ground_root(evaluator, f, fprime, first_pole, tol)
+        lvl = _below_ground_root(evaluator, f, f_and_slope, first_pole, tol)
         if window.contains(lvl.omega):
             levels.insert(0, lvl)
     return levels
 
 
-def _below_ground_root(evaluator, f, fprime, first_pole: float, tol: float) -> PerturbedLevel:
+def _below_ground_root(evaluator, f, f_and_slope, first_pole: float, tol: float) -> PerturbedLevel:
     spacing = evaluator.billiard.mean_spacing
     hi = first_pole - min(evaluator.pole_exclusion, 1e-3 * spacing)
     f_hi = f(hi)
     step = spacing
-    lo = hi
     for _ in range(70):
         lo = hi - step
         f_lo = f(lo)
         if f_lo > 0.0:
-            root, resid = _hybrid_root(f, fprime, lo, f_lo, hi, f_hi, tol)
+            root, resid = _hybrid_root(f_and_slope, lo, f_lo, hi, f_hi, tol)
             return PerturbedLevel(root, (lo, first_pole), _BELOW, resid)
         step *= 2.0
     raise RootBracketError("no below-ground sign change found (coupling too weak?)")
 
 
-def _check_window_vs_table(evaluator: GreensEvaluator, window: EnergyWindow) -> None:
+def _check_inputs(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> None:
+    if tol <= 0.0:
+        raise ValidationError("tol must be positive")
     e_top = float(evaluator.energies[-1])
     if window.hi > 0.9 * e_top:
         raise ValidationError(
@@ -248,103 +255,81 @@ def _check_window_vs_table(evaluator: GreensEvaluator, window: EnergyWindow) -> 
 # ---------------------------------------------------------------- multi ---
 
 
-def _sorted_eigenvalues(evaluator: GreensEvaluator, omega: float) -> np.ndarray:
-    return np.linalg.eigvalsh(evaluator.secular_matrix(omega))
+def _pole_probe(evaluator: GreensEvaluator, pole: float, start: float, sign: float):
+    """Probe the secular matrix M next to a pole until no root lies closer.
 
-
-def _refine_count_step(
-    evaluator: GreensEvaluator,
-    lo: float,
-    vals_lo: np.ndarray,
-    hi: float,
-    vals_hi: np.ndarray,
-    target: int,
-    tol: float,
-):
-    """Locate the energy where the negative-eigenvalue count reaches target.
-
-    Every sorted eigenvalue curve of the secular matrix decreases strictly,
-    so the count is a monotone step function of energy and the target-th
-    crossing is the zero of the sorted eigenvalue with index target - 1.
-    Returns (root, residual estimate).
+    Returns (x, sorted eigenvalues of M(x), number of roots between x and
+    the pole). The pole's weight rows U, one per mode at its energy, make
+    rank U eigenvalues of M diverge, to +inf on its right and -inf on its
+    left; the others tend to those of the regular part of M at the pole,
+    compressed onto the complement of the span of U. That compression of M
+    itself holds no pole term, so its first-order extrapolation from x
+    fixes the negative count at the pole, and the probe closes in until
+    M(x) has that count.
     """
-    idx = target - 1
-    v_lo, v_hi = float(vals_lo[idx]), float(vals_hi[idx])
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid in (lo, hi):
-            break
-        vals = _sorted_eigenvalues(evaluator, mid)
-        v_mid = float(vals[idx])
-        if int(np.sum(vals < 0.0)) >= target:
-            hi, v_hi = mid, v_mid
-        else:
-            lo, v_lo = mid, v_mid
-    root = 0.5 * (lo + hi)
-    slope = (v_hi - v_lo) / (hi - lo) if hi > lo else 0.0
-    resid = abs(0.5 * (v_lo + v_hi) / slope) if slope != 0.0 else 0.0
-    return root, resid
+    e = evaluator.energies
+    rows = evaluator.phi_values[np.searchsorted(e, pole):np.searchsorted(e, pole, "right")]
+    _, sv, vt = np.linalg.svd(rows)
+    rank = int(np.sum(sv ** 2 > POLE_WEIGHT_FLOOR * 4.0 / evaluator.billiard.area))
+    q = vt[rank:].T
+
+    def probe(w: float):
+        m = evaluator.secular_matrix(w, check_pole=False)
+        regular = q.T @ (m + (pole - w) * evaluator.secular_matrix_derivative(w)) @ q
+        at_pole = int(np.sum(np.linalg.eigvalsh(regular) < 0.0)) + (rank if sign < 0.0 else 0)
+        return np.linalg.eigvalsh(m), at_pole
+
+    def missing(probed) -> int:
+        vals, at_pole = probed
+        return int(sign * (np.sum(vals < 0.0) - at_pole))
+
+    x, probed = _descend_from_pole(probe, pole, start, sign, missing)
+    return x, probed[0], missing(probed)
 
 
-def _gap_grid(a: float, b: float, spacing: float, points_per_spacing: int,
-              excl: float) -> np.ndarray:
-    gap = b - a
-    # no point within two exclusion widths of a pole; _gaps drops gaps
-    # narrower than four widths, so the margin stays below half the gap
-    margin = max(1e-6 * gap, 2.0 * excl)
-    inner = max(int(math.ceil(points_per_spacing * gap / spacing)), 4)
-    base = np.linspace(a + margin, b - margin, inner + 2)
-    # extra points hugging each pole catch curves that plunge late
-    edges = np.maximum(np.array([1e-4, 1e-3, 1e-2]) * gap, margin)
-    pts = np.concatenate((a + edges, base, b - edges[::-1]))
-    return np.unique(pts)
+def _eigenvalue_curve(evaluator: GreensEvaluator, t: int):
+    """Sorted eigenvalue t of the secular matrix and its Hellmann-Feynman slope v^T M' v."""
+
+    def curve(w: float):
+        vals, vecs = np.linalg.eigh(evaluator.secular_matrix(w, check_pole=False))
+        v = vecs[:, t]
+        return float(vals[t]), float(v @ evaluator.secular_matrix_derivative(w) @ v)
+
+    return curve
 
 
 def solve_multi(
     evaluator: GreensEvaluator,
     window: EnergyWindow,
     tol: float = DEFAULT_ROOT_TOL,
-    points_per_spacing: int | None = None,
 ) -> list[PerturbedLevel]:
     """All secular-determinant roots in the window for N >= 1 scatterers.
 
-    Samples the negative-eigenvalue count of the real symmetric secular
-    matrix on a dense grid across each pole gap (at least 8 points per
-    scatterer per mean spacing). The count is non-decreasing in energy, so
-    each unit increase between neighboring grid points marks one root,
-    located by bisecting the count; coincident roots (degenerate zero
-    eigenvalues) raise the count by their multiplicity and are reported
-    once per unit step.
+    Each sorted eigenvalue curve of the real symmetric secular matrix
+    decreases strictly, so the curves that cross zero in a pole gap are
+    those indexed from the negative count at its left end up to the one at
+    its right end, each once. _pole_probe places both ends, at least two
+    exclusion widths in; the bracketed iteration of solve_single then
+    follows each crossing curve. Coincident roots (degenerate zero
+    eigenvalues) are reported once per crossing curve.
     """
-    n = evaluator.scatterers.n
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
-    _check_window_vs_table(evaluator, window)
-    if points_per_spacing is None:
-        points_per_spacing = 8 * n
-    elif points_per_spacing < 8 * n:
-        raise ValidationError(f"grid density must be >= {8 * n} points per spacing")
-    spacing = evaluator.billiard.mean_spacing
+    _check_inputs(evaluator, window, tol)
 
     levels = []
     for a, b in _gaps(evaluator, window):
-        grid = _gap_grid(a, b, spacing, points_per_spacing, evaluator.pole_exclusion)
-        vals = [_sorted_eigenvalues(evaluator, float(w)) for w in grid]
-        counts = [int(np.sum(v < 0.0)) for v in vals]
-        for g in range(len(grid) - 1):
-            # a zero exactly at a grid point is not yet negative there, so
-            # it belongs to this cell's count step and is never double counted
-            for target in range(counts[g] + 1, counts[g + 1] + 1):
-                root, resid = _refine_count_step(
-                    evaluator,
-                    float(grid[g]),
-                    vals[g],
-                    float(grid[g + 1]),
-                    vals[g + 1],
-                    target,
-                    tol,
-                )
-                levels.append(PerturbedLevel(root, (a, b), _BETWEEN, resid))
+        # _gaps drops gaps narrower than four exclusion widths, so the
+        # margin stays below half the gap
+        margin = max(1e-6 * (b - a), 2.0 * evaluator.pole_exclusion)
+        lo, vals_lo, missing_lo = _pole_probe(evaluator, a, margin, +1.0)
+        hi, vals_hi, missing_hi = _pole_probe(evaluator, b, margin, -1.0)
+        roots = [(lo, lo - a)] * missing_lo + [(hi, b - hi)] * missing_hi
+        for t in range(int(np.sum(vals_lo < 0.0)), int(np.sum(vals_hi < 0.0))):
+            if vals_lo[t] == 0.0:  # a zero is not yet negative: the root is lo
+                roots.append((lo, 0.0))
+            else:
+                roots.append(_hybrid_root(_eigenvalue_curve(evaluator, t), lo, float(vals_lo[t]),
+                                          hi, float(vals_hi[t]), tol))
+        levels += [PerturbedLevel(root, (a, b), _BETWEEN, resid) for root, resid in roots]
 
     levels = [lvl for lvl in levels if window.contains(lvl.omega)]
     levels.sort(key=lambda lvl: lvl.omega)

@@ -272,6 +272,18 @@ def test_secular_matrix_core_properties(golden, big_table, data):
     up = ev.secular_matrix(1j * ev.lam)
     assert np.array_equal(ev.secular_matrix(-1j * ev.lam), np.conj(up))
 
+    # derivative: symmetric, diagonal = diag_derivative, negative definite,
+    # and the slope of secular_matrix by a central difference well inside
+    # the distance to the nearest pole
+    d = ev.secular_matrix_derivative(omega)
+    assert np.array_equal(d, d.T)
+    for i in range(n):
+        assert d[i, i] == ev.diag_derivative(i, omega)
+    assert np.all(np.linalg.eigvalsh(d) < 0.0)
+    h = 1e-4 * ev.nearest_level(omega)[0]
+    central = (ev.secular_matrix(omega + h) - ev.secular_matrix(omega - h)) / (2.0 * h)
+    assert np.max(np.abs(central - d)) <= 1e-6 * np.max(np.abs(d))
+
     # oracle: per-mode loop for one entry; the tail has its own quadrature test
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, n - 1))

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
 from pointbilliard import ValidationError
+from pointbilliard.basis import BilliardSpec, mode_table_with_count
 from pointbilliard.errors import PoleProximityError
 from pointbilliard.solver import (
     EnergyWindow,
+    _gaps,
     build_eigenfunction,
     solve_multi,
     solve_single,
@@ -180,6 +182,23 @@ def test_solve_single_roots_hugging_weak_poles(golden, big_table):
         assert e[k] < lv.omega < e[k + 1]
 
 
+@pytest.mark.parametrize("inv", [-3.0, 0.3])
+def test_solve_single_root_within_ulps_of_a_pole(golden, big_table, inv):
+    # mode (90, 205), level 30 490 at 119 185.94, keeps 1.7e-11 of the mean
+    # weight here: a root hugs its pole within 4 ulps on the left (-3.0) or
+    # about 50 ulps on the right (0.3); no probe may land on the pole itself
+    fx = 86.0 / 90.0 + math.asin(math.sqrt(2.5e-11)) / (90.0 * math.pi)
+    pos = (fx * golden.lx, 0.6180339887498949 * golden.ly)
+    ev = make_evaluator(golden, big_table, [pos], [inv], n_max=100_000)
+    e = ev.energies
+    assert (ev.table.mx[30_490], ev.table.my[30_490]) == (90, 205)
+    with np.errstate(divide="raise"):
+        levels = solve_single(ev, window_over_levels(ev, 30_485, 30_495))
+    assert len(levels) == 10
+    for k, lv in enumerate(levels, start=30_485):
+        assert e[k] < lv.omega < e[k + 1]
+
+
 def test_solve_multi_resolves_gap_narrower_than_grid_margin(
         golden, generic_point, second_point, big_table):
     # levels 4026 and 4027 lie 7e-4 mean spacings apart: the old grid put
@@ -202,6 +221,89 @@ def test_solve_multi_resolves_gap_narrower_than_grid_margin(
         assert inside == negative_count(b - eps) - negative_count(a + eps)
         found += inside
     assert found == roots.size
+
+
+@pytest.fixture(scope="module")
+def square_table():
+    spec = BilliardSpec(1.0, 1.0)
+    return mode_table_with_count(spec, 3_000)
+
+
+_UNIT = st.floats(0.05, 0.95)
+
+
+@settings(max_examples=20, deadline=None)
+@given(square=st.booleans(), c4_orbit=st.booleans(),
+       fractions=st.lists(st.tuples(_UNIT, _UNIT), min_size=2, max_size=5, unique=True),
+       inv=st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=5),
+       start=st.integers(20, 2400), span=st.integers(10, 30))
+# both scatterers on x = lx/2: mode (3, 6) keeps 6e-7 of the mean weight at
+# one of them, and its root hugs the pole at 112.27 closer than 1e-6 gap widths
+@example(square=False, c4_orbit=False, fractions=[(0.5, 0.5), (0.5, 0.8333749456967101)],
+         inv=[0.0] * 5, start=20, span=10)
+# a curve flat at one end of its gap and plunging into the pole at the
+# other, where a secant alone creeps
+@example(square=False, c4_orbit=False,
+         fractions=[(0.873046875, 0.3008078578342021), (0.875, 0.873046875)],
+         inv=[0.3125] + [0.0] * 4, start=20, span=10)
+# an eigenvalue that stays finite at the pole 730.35 crosses zero 5e-6 below it
+@example(square=True, c4_orbit=False,
+         fractions=[(0.7379038909555893, 0.42595153197415986),
+                    (0.4111983700488618, 0.8900398176739504),
+                    (0.14213324638727026, 0.5), (0.3333333333333333, 0.05)],
+         inv=[-1.0, 0.03355020496885186, -0.49850510258237246, 0.0, 0.0], start=74, span=30)
+def test_solve_multi_counts_roots_through_degeneracies(big_table, square_table, square,
+                                                       c4_orbit, fractions, inv, start,
+                                                       span):
+    # the unit square has exactly degenerate poles; the C4 orbit of one
+    # scatterer about its centre, at one coupling, adds exactly coincident
+    # perturbed levels
+    table = square_table if square else big_table
+    inv = inv[:len(fractions)]
+    if square and c4_orbit:
+        x, y = fractions[0]
+        fractions = [(x, y), (1.0 - y, x), (1.0 - x, 1.0 - y), (y, 1.0 - x)]
+        inv = [inv[0]] * 4
+    spec = table.spec
+    positions = [(fx * spec.lx, fy * spec.ly) for fx, fy in fractions]
+    assume(len(set(positions)) == len(positions))
+    ev = make_evaluator(spec, table, positions, inv)
+    window = window_over_levels(ev, start, start + span)
+    tol = 1e-9
+    roots = np.array([lv.omega for lv in solve_multi(ev, window, tol=tol)])
+
+    def negative_count(w):
+        m = ev.secular_matrix(float(w), check_pole=False)
+        return int(np.sum(np.linalg.eigvalsh(m) < 0.0))
+
+    placed = 0
+    for a, b in _gaps(ev, window):
+        inside = np.sort(roots[(roots > a) & (roots < b)])
+        placed += inside.size
+
+        def between(lo, hi):
+            return int(np.sum((inside > lo) & (inside < hi)))
+
+        if window.lo <= a and b <= window.hi:
+            # the count sees the roots between its two probes, give or take
+            # the roots within 10 tol of a probe
+            eps, slack = 1e-8 * (b - a), 10.0 * tol
+            rise = negative_count(b - eps) - negative_count(a + eps)
+            assert between(a + eps + slack, b - eps - slack) <= rise
+            assert rise <= between(a + eps - slack, b - eps + slack)
+        # each cluster of coincident roots flips the count by its size, seen
+        # 10 tol away or a quarter of the way to the next root or pole; a
+        # root within a few tol of a pole is placed only to within tol, so
+        # probes closer than 2 tol cannot check it
+        clusters = np.split(inside, np.flatnonzero(np.diff(inside) > 20.0 * tol) + 1)
+        for k, cluster in enumerate(clusters if inside.size else []):
+            left = clusters[k - 1][-1] if k else a
+            right = clusters[k + 1][0] if k + 1 < len(clusters) else b
+            step = min(10.0 * tol, 0.25 * (cluster[0] - left), 0.25 * (right - cluster[-1]))
+            if step >= 2.0 * tol:
+                rise = negative_count(cluster[-1] + step) - negative_count(cluster[0] - step)
+                assert rise == cluster.size
+    assert placed == roots.size
 
 
 def test_eigenfunction_normalized_and_zero_on_boundary(ev1_30k):
@@ -244,8 +346,6 @@ def test_window_and_argument_validation(ev1):
     # windows reaching into the truncation-dominated top of the table
     with pytest.raises(ValidationError):
         solve_single(ev1, EnergyWindow(100.0, 0.99 * ev1.cutoff_energy))
-    with pytest.raises(ValidationError):
-        solve_multi(ev1, window_over_levels(ev1, 100, 105), points_per_spacing=2)
 
 
 def test_solve_single_rejects_multi_scatterer(ev2):
