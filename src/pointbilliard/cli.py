@@ -246,10 +246,7 @@ def _solve_levels(config: RunConfig):
 
     evaluator = GreensEvaluator(config.billiard, config.scatterers,
                                 config.accuracy)
-    if n == 1:
-        levels = solve_single(evaluator, window, tol=config.tol)
-    else:
-        levels = solve_multi(evaluator, window, tol=config.tol)
+    levels = solve_multi(evaluator, window, tol=config.tol)
     rows = tuple(
         {"omega": float(lv.omega), "bracket_lo": float(lv.bracket[0]),
          "bracket_hi": float(lv.bracket[1]), "kind": lv.kind,
@@ -363,11 +360,8 @@ def cmd_sweep(config: RunConfig, grid, workers: int = 1,
 
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        rows = tuple(guarded(v) for v in grid)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(guarded, grid))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = tuple(pool.map(guarded, grid))
     n_failed = sum(1 for r in rows if r["status"] != "ok")
     diagnostics = {"grid_size": len(grid), "failed_rows": n_failed,
                    "notes": symmetry_notes(config.billiard, config.scatterers)}

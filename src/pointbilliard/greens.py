@@ -130,8 +130,7 @@ class GreensEvaluator:
 
     def __init__(self, billiard: BilliardSpec, scatterers: ScattererSet,
                  accuracy: GreensAccuracy | None = None,
-                 table: ModeTable | None = None,
-                 pole_exclusion_factor: float = POLE_EXCLUSION_FACTOR):
+                 table: ModeTable | None = None):
         self.billiard = billiard
         self.scatterers = scatterers
         self.accuracy = accuracy if accuracy is not None else GreensAccuracy()
@@ -149,7 +148,7 @@ class GreensEvaluator:
         self.energies = self.table.energies
         self.cutoff_energy = float(self.energies[-1])
         self.mean_spacing = billiard.mean_spacing
-        self.pole_exclusion = pole_exclusion_factor * self.mean_spacing
+        self.pole_exclusion = POLE_EXCLUSION_FACTOR * self.mean_spacing
         self.lam = scatterers.lambda_scale
 
         # phi[n, i] = eigenfunction n at scatterer i; shared by every series.

@@ -67,7 +67,6 @@ class ReductionState:
     k: int
     diag: np.ndarray
     rotation: np.ndarray
-    step_rotation: np.ndarray | None
 
     @property
     def residual_vectors(self) -> np.ndarray:
@@ -112,7 +111,7 @@ def _decompose_arrays(evaluator: GreensEvaluator, omegas: np.ndarray):
 
 def initial_state(decomp: SigmaDecomposition) -> ReductionState:
     n = decomp.n
-    return ReductionState(decomp, 0, decomp.unperturbed_diag.copy(), np.eye(n), None)
+    return ReductionState(decomp, 0, decomp.unperturbed_diag.copy(), np.eye(n))
 
 
 def reduce_step(state: ReductionState) -> ReductionState:
@@ -128,7 +127,6 @@ def reduce_step(state: ReductionState) -> ReductionState:
         k=state.k + 1,
         diag=d_new[0],
         rotation=state.rotation @ omega_step[0],
-        step_rotation=omega_step[0],
     )
 
 

@@ -1,18 +1,18 @@
 """Perturbed-spectrum root finding and eigenfunction assembly.
 
-Single scatterer: the spectral condition is a scalar equation, regularized
-diagonal = inverse coupling, with exactly one root per gap between distinct
-unperturbed levels (a second branch below the ground state opens for
-negative inverse coupling). Several scatterers: roots of the secular
-determinant. The derivative of the secular matrix is negative definite, so
-each sorted eigenvalue curve decreases strictly in energy and crosses zero
-at most once per gap; the negative-eigenvalue counts at the two ends of a
-gap name the curves that cross, and root multiplicity is the number of
-curves crossing at the same energy. Both cases find every root with the
-same bracketed iteration.
+Every level is a root of the secular determinant: a zero eigenvalue of
+the N x N secular matrix M, the inverse T-matrix. M' is negative definite,
+so each sorted eigenvalue curve decreases strictly in energy and crosses
+zero at most once between consecutive poles, and once more at most below
+the first pole, where one to N states are always bound. The
+negative-eigenvalue counts at the two ends of such a gap name the curves
+that cross, and one bracketed iteration finds each root; root multiplicity
+is the number of curves crossing at the same energy. One scatterer is the
+case N = 1, with exactly one root per gap between distinct unperturbed
+levels and one bound state below them.
 
-All roots are reported with their bracketing gap, a scaled residual (the
-estimated root displacement, |f| / |f'|), and a kind tag.
+All roots are reported with their bracketing gap, an estimate of the
+remaining root displacement as residual, and a kind tag.
 """
 
 from __future__ import annotations
@@ -59,10 +59,12 @@ class EnergyWindow:
 class PerturbedLevel:
     """One root of the spectral condition.
 
-    bracket is the pole pair enclosing the root (for the below-ground branch,
-    the final search bracket). residual is |f|/|f'| at the accepted root, an
-    estimate of the remaining root displacement in energy units; a root
-    reported 4 ulps from its pole, the closest probe, carries that distance.
+    bracket is the pole pair enclosing the root; for a below-ground root it
+    is (window.lo, first pole). residual is the remaining root displacement
+    in energy units: estimated as |f|/|f'| at the accepted root, or bounded
+    by the width of the final bracket when the iteration stopped on that
+    instead; a root reported 4 ulps from its pole, the closest probe,
+    carries that distance.
     """
 
     omega: float
@@ -127,32 +129,16 @@ def _gaps(evaluator: GreensEvaluator, window: EnergyWindow) -> Iterator[tuple[fl
         yield a, b
 
 
-def _descend_from_pole(f, pole: float, start: float, sign: float, missing):
-    """First probe x = pole + sign * offset with no missing(f(x)); returns (x, f(x)).
-
-    missing(f(x)) counts the roots between x and the pole. The offset
-    starts at start and shrinks toward the pole; microscopic mode weights
-    push roots very close in. The last probe sits 4 ulps from the pole,
-    never closer: roots still missing there lie within those 4 ulps.
-    """
-    d = start
-    floor = 4.0 * math.ulp(pole)
-    while True:
-        x = pole + sign * max(d, floor)
-        val = f(x)
-        if not missing(val) or d <= floor:
-            return x, val
-        d /= 32.0
-
-
 def _hybrid_root(f_and_slope, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
     """Bracketed root of decreasing f: bisection with secant acceleration.
 
-    f_and_slope(x) returns (f(x), f'(x)); the true slope serves the
-    stopping test |f/f'| <= tol. Returns (root, scaled_residual). The
-    bracket invariant f(lo) > 0 > f(hi) is maintained; secant proposals
-    outside the open bracket, and every step after the 48th, fall back to
-    bisection, so convergence is guaranteed.
+    f_and_slope(x) returns (f(x), f'(x)). Returns (root, residual): the
+    residual is |f/f'| when that falls to tol, else the bracket width once
+    the bracket is narrower than tol, or than 4 ulps where floats are
+    coarser (the root lies inside it). The bracket invariant
+    f(lo) > 0 > f(hi) is maintained; secant proposals outside the open
+    bracket, and every step after the 48th, fall back to bisection, so
+    convergence is guaranteed.
     """
     if not (f_lo > 0.0 > f_hi):
         raise RootBracketError(
@@ -177,71 +163,104 @@ def _hybrid_root(f_and_slope, lo: float, f_lo: float, hi: float, f_hi: float, to
         else:
             return x_new, 0.0
         resid = abs(f_cur / slope) if slope != 0.0 else math.inf
-        if resid <= tol or hi - lo <= tol:
+        if resid <= tol:
             return x_cur, resid
+        if hi - lo <= max(tol, 4.0 * math.ulp(x_cur)):
+            return x_cur, hi - lo
     raise RootBracketError(f"root iteration did not converge in [{lo}, {hi}]")
 
 
-def solve_single(
-    evaluator: GreensEvaluator,
-    window: EnergyWindow,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> list[PerturbedLevel]:
-    """All perturbed levels of a one-scatterer configuration in the window.
+def _secular_curves(evaluator: GreensEvaluator):
+    """(eigenvalues, curve): the two evaluations of the secular matrix M.
 
-    One root per pole gap overlapping the window (kept only if the root
-    itself lands inside), plus the below-ground root when the inverse
-    coupling is negative and the window reaches below the first pole.
+    eigenvalues(w) returns the sorted eigenvalues of M(w) and M(w) itself;
+    curve(t) returns w -> (sorted eigenvalue t of M(w), its slope). For one
+    scatterer M is the scalar diag - inv with slope diag_derivative, summed
+    directly: going through secular_matrix and eigh costs about a quarter
+    of the one-scatterer CLI throughput. Otherwise the slope is the
+    Hellmann-Feynman v^T M' v of eigenvector v.
     """
-    if evaluator.scatterers.n != 1:
-        raise ValidationError("solve_single requires exactly one scatterer")
-    _check_inputs(evaluator, window, tol)
-    inv = float(evaluator.scatterers.inv_couplings[0])
+    if evaluator.n == 1:
+        inv = float(evaluator.scatterers.inv_couplings[0])
 
-    def f(w: float) -> float:
-        return evaluator.diag(0, w, check_pole=False) - inv
+        def f(w: float) -> float:
+            return evaluator.diag(0, w, check_pole=False) - inv
 
-    def f_and_slope(w: float):
-        return f(w), evaluator.diag_derivative(0, w, check_pole=False)
+        def scalar(w: float):
+            m = np.array([[f(w)]])
+            return m[0], m
 
-    levels = []
-    for a, b in _gaps(evaluator, window):
-        start = min(evaluator.pole_exclusion, 1e-3 * (b - a))
-        lo, f_lo = _descend_from_pole(f, a, start, +1.0, lambda v: v < 0.0)
-        hi, f_hi = _descend_from_pole(f, b, start, -1.0, lambda v: v >= 0.0)
-        if f_lo <= 0.0:  # root within 4 ulps of the left pole
-            root, resid = lo, lo - a
-        elif f_hi >= 0.0:  # ... or of the right one
-            root, resid = hi, b - hi
-        else:
-            root, resid = _hybrid_root(f_and_slope, lo, f_lo, hi, f_hi, tol)
-        if window.contains(root):
-            levels.append(PerturbedLevel(root, (a, b), _BETWEEN, resid))
+        def f_and_slope(w: float):
+            return f(w), evaluator.diag_derivative(0, w, check_pole=False)
 
-    first_pole = float(evaluator.energies[_pole_mask(evaluator).argmax()])
-    if inv < 0.0 and window.lo < first_pole:
-        lvl = _below_ground_root(evaluator, f, f_and_slope, first_pole, tol)
-        if window.contains(lvl.omega):
-            levels.insert(0, lvl)
-    return levels
+        return scalar, lambda t: f_and_slope
+
+    def eigenvalues(w: float):
+        m = evaluator.secular_matrix(w, check_pole=False)
+        return np.linalg.eigvalsh(m), m
+
+    def curve(t: int):
+        def value_and_slope(w: float):
+            vals, vecs = np.linalg.eigh(evaluator.secular_matrix(w, check_pole=False))
+            v = vecs[:, t]
+            return float(vals[t]), float(v @ evaluator.secular_matrix_derivative(w) @ v)
+
+        return value_and_slope
+
+    return eigenvalues, curve
 
 
-def _below_ground_root(evaluator, f, f_and_slope, first_pole: float, tol: float) -> PerturbedLevel:
-    spacing = evaluator.billiard.mean_spacing
-    hi = first_pole - min(evaluator.pole_exclusion, 1e-3 * spacing)
-    f_hi = f(hi)
-    step = spacing
-    for _ in range(70):
-        lo = hi - step
-        f_lo = f(lo)
-        if f_lo > 0.0:
-            root, resid = _hybrid_root(f_and_slope, lo, f_lo, hi, f_hi, tol)
-            return PerturbedLevel(root, (lo, first_pole), _BELOW, resid)
-        step *= 2.0
-    raise RootBracketError("no below-ground sign change found (coupling too weak?)")
+def _pole_probe(evaluator: GreensEvaluator, eigenvalues, pole: float, start: float, sign: float):
+    """Probe M at x = pole + sign * offset until no root lies closer.
+
+    Returns (x, sorted eigenvalues of M(x), number of roots between x and
+    the pole). The offset starts at start and shrinks toward the pole;
+    microscopic mode weights push roots very close in. The last probe sits
+    4 ulps from the pole, never closer: roots still missing there lie
+    within those 4 ulps. A probe whose negative count is at its extreme
+    (none right of the pole, all N left of it) misses nothing. Otherwise
+    the count at the pole decides: the pole's weight rows U, one per mode
+    at its energy, make rank U eigenvalues of M diverge, to +inf on its
+    right and -inf on its left; the others tend to those of the regular
+    part of M at the pole, compressed onto the complement of the span of
+    U. That compression of M itself holds no pole term, so its first-order
+    extrapolation from x fixes the rest of the count.
+    """
+    extreme = 0 if sign > 0.0 else evaluator.n
+    floor = 4.0 * math.ulp(pole)
+    d, q = start, None
+    while True:
+        x = pole + sign * max(d, floor)
+        vals, m = eigenvalues(x)
+        count = int(np.count_nonzero(vals < 0.0))
+        missing = 0
+        if count != extreme:
+            if q is None:
+                e = evaluator.energies
+                rows = evaluator.phi_values[np.searchsorted(e, pole):np.searchsorted(e, pole, "right")]
+                _, sv, vt = np.linalg.svd(rows)
+                rank = int(np.sum(sv ** 2 > POLE_WEIGHT_FLOOR * 4.0 / evaluator.billiard.area))
+                q = vt[rank:].T
+            at_pole = rank if sign < 0.0 else 0
+            if q.size:
+                regular = q.T @ (m + (pole - x) * evaluator.secular_matrix_derivative(x)) @ q
+                at_pole += int(np.sum(np.linalg.eigvalsh(regular) < 0.0))
+            missing = int(sign * (count - at_pole))
+        if not missing or d <= floor:
+            return x, vals, missing
+        d /= 32.0
 
 
-def _check_inputs(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> None:
+def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list[PerturbedLevel]:
+    """Every root in the window, for any number of scatterers.
+
+    The gaps are those between resolvable poles, plus (window.lo, first
+    pole) when the window reaches below it. Each gap is probed at both
+    ends, next to a pole by _pole_probe; the sorted eigenvalue curves
+    indexed from the negative count at the lower end up to the one at the
+    upper end cross zero in it, each once, and _hybrid_root follows each.
+    Coincident roots (degenerate zero eigenvalues) come once per curve.
+    """
     if tol <= 0.0:
         raise ValidationError("tol must be positive")
     e_top = float(evaluator.energies[-1])
@@ -250,52 +269,43 @@ def _check_inputs(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) 
             f"window top {window.hi:.6g} is beyond 90% of the truncated spectrum "
             f"({e_top:.6g}); raise n_max"
         )
+    eigenvalues, curve = _secular_curves(evaluator)
+    gaps = [(a, b, _BETWEEN) for a, b in _gaps(evaluator, window)]
+    first_pole = float(evaluator.energies[_pole_mask(evaluator).argmax()])
+    if window.lo < first_pole - 4.0 * evaluator.pole_exclusion:
+        gaps.insert(0, (window.lo, first_pole, _BELOW))
+
+    levels = []
+    for a, b, kind in gaps:
+        start = min(evaluator.pole_exclusion, 1e-3 * (b - a))
+        if kind == _BELOW:  # a is the window edge, not a pole
+            lo, (vals_lo, _), missing_lo = a, eigenvalues(a), 0
+        else:
+            lo, vals_lo, missing_lo = _pole_probe(evaluator, eigenvalues, a, start, +1.0)
+        hi, vals_hi, missing_hi = _pole_probe(evaluator, eigenvalues, b, start, -1.0)
+        roots = [(lo, lo - a)] * missing_lo + [(hi, b - hi)] * missing_hi
+        for t in range(np.count_nonzero(vals_lo < 0.0), np.count_nonzero(vals_hi < 0.0)):
+            if vals_lo[t] == 0.0:  # a zero is not yet negative: the root is lo
+                roots.append((lo, 0.0))
+            else:
+                roots.append(_hybrid_root(curve(t), lo, float(vals_lo[t]),
+                                          hi, float(vals_hi[t]), tol))
+        levels += [PerturbedLevel(root, (a, b), kind, resid) for root, resid in roots]
+
+    levels = [lvl for lvl in levels if window.contains(lvl.omega)]
+    levels.sort(key=lambda lvl: lvl.omega)
+    return levels
 
 
-# ---------------------------------------------------------------- multi ---
-
-
-def _pole_probe(evaluator: GreensEvaluator, pole: float, start: float, sign: float):
-    """Probe the secular matrix M next to a pole until no root lies closer.
-
-    Returns (x, sorted eigenvalues of M(x), number of roots between x and
-    the pole). The pole's weight rows U, one per mode at its energy, make
-    rank U eigenvalues of M diverge, to +inf on its right and -inf on its
-    left; the others tend to those of the regular part of M at the pole,
-    compressed onto the complement of the span of U. That compression of M
-    itself holds no pole term, so its first-order extrapolation from x
-    fixes the negative count at the pole, and the probe closes in until
-    M(x) has that count.
-    """
-    e = evaluator.energies
-    rows = evaluator.phi_values[np.searchsorted(e, pole):np.searchsorted(e, pole, "right")]
-    _, sv, vt = np.linalg.svd(rows)
-    rank = int(np.sum(sv ** 2 > POLE_WEIGHT_FLOOR * 4.0 / evaluator.billiard.area))
-    q = vt[rank:].T
-
-    def probe(w: float):
-        m = evaluator.secular_matrix(w, check_pole=False)
-        regular = q.T @ (m + (pole - w) * evaluator.secular_matrix_derivative(w)) @ q
-        at_pole = int(np.sum(np.linalg.eigvalsh(regular) < 0.0)) + (rank if sign < 0.0 else 0)
-        return np.linalg.eigvalsh(m), at_pole
-
-    def missing(probed) -> int:
-        vals, at_pole = probed
-        return int(sign * (np.sum(vals < 0.0) - at_pole))
-
-    x, probed = _descend_from_pole(probe, pole, start, sign, missing)
-    return x, probed[0], missing(probed)
-
-
-def _eigenvalue_curve(evaluator: GreensEvaluator, t: int):
-    """Sorted eigenvalue t of the secular matrix and its Hellmann-Feynman slope v^T M' v."""
-
-    def curve(w: float):
-        vals, vecs = np.linalg.eigh(evaluator.secular_matrix(w, check_pole=False))
-        v = vecs[:, t]
-        return float(vals[t]), float(v @ evaluator.secular_matrix_derivative(w) @ v)
-
-    return curve
+def solve_single(
+    evaluator: GreensEvaluator,
+    window: EnergyWindow,
+    tol: float = DEFAULT_ROOT_TOL,
+) -> list[PerturbedLevel]:
+    """All levels of a one-scatterer configuration in the window; see _solve."""
+    if evaluator.scatterers.n != 1:
+        raise ValidationError("solve_single requires exactly one scatterer")
+    return _solve(evaluator, window, tol)
 
 
 def solve_multi(
@@ -303,45 +313,14 @@ def solve_multi(
     window: EnergyWindow,
     tol: float = DEFAULT_ROOT_TOL,
 ) -> list[PerturbedLevel]:
-    """All secular-determinant roots in the window for N >= 1 scatterers.
-
-    Each sorted eigenvalue curve of the real symmetric secular matrix
-    decreases strictly, so the curves that cross zero in a pole gap are
-    those indexed from the negative count at its left end up to the one at
-    its right end, each once. _pole_probe places both ends, at least two
-    exclusion widths in; the bracketed iteration of solve_single then
-    follows each crossing curve. Coincident roots (degenerate zero
-    eigenvalues) are reported once per crossing curve.
-    """
-    _check_inputs(evaluator, window, tol)
-
-    levels = []
-    for a, b in _gaps(evaluator, window):
-        # _gaps drops gaps narrower than four exclusion widths, so the
-        # margin stays below half the gap
-        margin = max(1e-6 * (b - a), 2.0 * evaluator.pole_exclusion)
-        lo, vals_lo, missing_lo = _pole_probe(evaluator, a, margin, +1.0)
-        hi, vals_hi, missing_hi = _pole_probe(evaluator, b, margin, -1.0)
-        roots = [(lo, lo - a)] * missing_lo + [(hi, b - hi)] * missing_hi
-        for t in range(int(np.sum(vals_lo < 0.0)), int(np.sum(vals_hi < 0.0))):
-            if vals_lo[t] == 0.0:  # a zero is not yet negative: the root is lo
-                roots.append((lo, 0.0))
-            else:
-                roots.append(_hybrid_root(_eigenvalue_curve(evaluator, t), lo, float(vals_lo[t]),
-                                          hi, float(vals_hi[t]), tol))
-        levels += [PerturbedLevel(root, (a, b), _BETWEEN, resid) for root, resid in roots]
-
-    levels = [lvl for lvl in levels if window.contains(lvl.omega)]
-    levels.sort(key=lambda lvl: lvl.omega)
-    return levels
+    """All secular-determinant roots in the window for N >= 1 scatterers; see _solve."""
+    return _solve(evaluator, window, tol)
 
 
 # ------------------------------------------------------- eigenfunctions ---
 
 
-def build_eigenfunction(
-    evaluator: GreensEvaluator, level: PerturbedLevel, tol_scale: float = 1.0
-) -> EigenfunctionRep:
+def build_eigenfunction(evaluator: GreensEvaluator, level: PerturbedLevel) -> EigenfunctionRep:
     """Mode expansion of the perturbed eigenfunction at a one-scatterer root.
 
     Coefficients are normalization * phi_k(x1) / (omega - eps_k) over the
@@ -352,9 +331,9 @@ def build_eigenfunction(
         raise ValidationError("eigenfunctions are built for one-scatterer spectra only")
     omega = level.omega
     dist, k = evaluator.nearest_level(omega)
-    width = tol_scale * evaluator.pole_exclusion
-    if dist <= width:
-        raise PoleProximityError(omega, float(evaluator.energies[k]), int(k), width)
+    if dist <= evaluator.pole_exclusion:
+        raise PoleProximityError(omega, float(evaluator.energies[k]), int(k),
+                                 evaluator.pole_exclusion)
     phi = evaluator.phi_values[:, 0]
     raw = phi / (omega - evaluator.energies)
     norm_sq = float(raw @ raw)

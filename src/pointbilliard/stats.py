@@ -273,8 +273,7 @@ def coupling_band_range(inv_coupling: float, billiard: BilliardSpec,
 
 
 def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
-                           min_gaps: int = 30,
-                           step_factor: float = 1e-3) -> InflectionSurvey:
+                           min_gaps: int = 30) -> InflectionSurvey:
     """Locate the inflection of the diagonal resolvent in each gap.
 
     For a single scatterer the regularised diagonal resolvent rises from
@@ -282,7 +281,7 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
     it couples to, with one inflection point in between.  The survey
     finds that point by bisecting the sign change of the second
     derivative, estimated by central differences of the analytic first
-    derivative with step ``step_factor`` times the mean level spacing,
+    derivative with step 1e-3 times the mean level spacing,
     and records the resolvent value and slope there next to the
     logarithmic law they are predicted to follow.
 
@@ -307,7 +306,7 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
 
     lam = evaluator.scatterers.lambda_scale
     m = evaluator.billiard.mass
-    h = step_factor * evaluator.mean_spacing
+    h = 1e-3 * evaluator.mean_spacing
 
     def curvature(w: float) -> float:
         return (evaluator.diag_derivative(0, w + h)

@@ -20,7 +20,13 @@ from pointbilliard.solver import (
     truncation_shift_bound,
 )
 
-from conftest import make_evaluator
+from conftest import (
+    GENERIC_X,
+    GENERIC_Y_FRACTION,
+    SECOND_X,
+    SECOND_Y_FRACTION,
+    make_evaluator,
+)
 
 
 def window_over_levels(evaluator, lo_level, hi_level):
@@ -93,10 +99,16 @@ def test_attractive_coupling_has_below_ground_root(golden, generic_point,
     assert len(below) == 1
     assert below[0].omega < ground
 
-    # repulsive sign: no state below the unperturbed ground level
+    # a point interaction in two dimensions binds at every coupling: the
+    # repulsive sign too has one state below the ground level, the zero of
+    # diag - inv there
     ev_rep = make_evaluator(golden, big_table, [generic_point], [0.5])
-    levels_rep = solve_single(ev_rep, window)
-    assert all(lv.kind == "between-poles" for lv in levels_rep)
+    below_rep = [lv for lv in solve_single(ev_rep, window) if lv.kind == "below-ground"]
+    near_ground = ground - 1e-6 * (float(ev_rep.energies[1]) - ground)
+    oracle = optimize.brentq(lambda w: ev_rep.diag(0, w) - 0.5, -50.0, near_ground,
+                             xtol=1e-12)
+    assert len(below_rep) == 1
+    assert below_rep[0].omega == pytest.approx(oracle, abs=1e-8)
 
 
 def test_solve_multi_agrees_with_solve_single(ev1):
@@ -197,6 +209,7 @@ def test_solve_single_root_within_ulps_of_a_pole(golden, big_table, inv):
     assert len(levels) == 10
     for k, lv in enumerate(levels, start=30_485):
         assert e[k] < lv.omega < e[k + 1]
+        assert lv.residual <= 1e-9
 
 
 def test_solve_multi_resolves_gap_narrower_than_grid_margin(
@@ -252,6 +265,10 @@ _UNIT = st.floats(0.05, 0.95)
                     (0.4111983700488618, 0.8900398176739504),
                     (0.14213324638727026, 0.5), (0.3333333333333333, 0.05)],
          inv=[-1.0, 0.03355020496885186, -0.49850510258237246, 0.0, 0.0], start=74, span=30)
+# C4 orbit on the unit square: the iteration for the root at 888.264 stops
+# on its bracket while |f/f'| is still above tol
+@example(square=True, c4_orbit=True, fractions=[(0.8359375, 0.66796875), (0.5, 0.5)],
+         inv=[0.0] * 5, start=97, span=30)
 def test_solve_multi_counts_roots_through_degeneracies(big_table, square_table, square,
                                                        c4_orbit, fractions, inv, start,
                                                        span):
@@ -270,7 +287,9 @@ def test_solve_multi_counts_roots_through_degeneracies(big_table, square_table, 
     ev = make_evaluator(spec, table, positions, inv)
     window = window_over_levels(ev, start, start + span)
     tol = 1e-9
-    roots = np.array([lv.omega for lv in solve_multi(ev, window, tol=tol)])
+    levels = solve_multi(ev, window, tol=tol)
+    assert all(lv.residual <= tol for lv in levels)
+    roots = np.array([lv.omega for lv in levels])
 
     def negative_count(w):
         m = ev.secular_matrix(float(w), check_pole=False)
@@ -304,6 +323,39 @@ def test_solve_multi_counts_roots_through_degeneracies(big_table, square_table, 
                 rise = negative_count(cluster[-1] + step) - negative_count(cluster[0] - step)
                 assert rise == cluster.size
     assert placed == roots.size
+
+
+@settings(max_examples=20, deadline=None)
+@given(fractions=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=4, unique=True),
+       inv=st.lists(st.floats(-1.0, 3.0), min_size=4, max_size=4),
+       lo=st.sampled_from([-1e12, -1e6, -1e3, -50.0, 0.0, 5.0]))
+@example(fractions=[(GENERIC_X, GENERIC_Y_FRACTION), (SECOND_X, SECOND_Y_FRACTION)],
+         inv=[0.3, 0.5, 0.0, 0.0], lo=-50.0)
+@example(fractions=[(GENERIC_X, GENERIC_Y_FRACTION), (SECOND_X, SECOND_Y_FRACTION)],
+         inv=[-0.5, 0.3, 0.0, 0.0], lo=-50.0)
+# the strongest bound state sits near -2.95e8, where 4 ulps exceed tol
+@example(fractions=[(GENERIC_X, GENERIC_Y_FRACTION), (SECOND_X, SECOND_Y_FRACTION)],
+         inv=[3.0, 2.0, 0.0, 0.0], lo=-1e12)
+def test_below_ground_roots_match_dense_count(golden, big_table, fractions, inv, lo):
+    # oracle: the dense negative-eigenvalue count rises once per root
+    # between the window edge and a probe next to the ground level
+    positions = [(fx * golden.lx, fy * golden.ly) for fx, fy in fractions]
+    ev = make_evaluator(golden, big_table, positions, inv[:len(positions)])
+    e = ev.energies
+    first_pole = float(e[0])
+    window = EnergyWindow(lo, float(e[5]))
+    tol = 1e-9
+    below = [lv for lv in solve_multi(ev, window, tol=tol) if lv.kind == "below-ground"]
+
+    def negative_count(w):
+        return int(np.sum(np.linalg.eigvalsh(ev.secular_matrix(float(w))) < 0.0))
+
+    probe = first_pole - 1e-8 * (float(e[1]) - first_pole)
+    assert len(below) == negative_count(probe) - negative_count(lo)
+    for lv in below:
+        assert lo < lv.omega < first_pole
+        assert lv.bracket == (lo, first_pole)
+        assert lv.residual <= max(tol, 4.0 * math.ulp(lv.omega))
 
 
 def test_eigenfunction_normalized_and_zero_on_boundary(ev1_30k):
