@@ -238,16 +238,17 @@ class GreensEvaluator:
                     best = (d, k)
         return best
 
-    def check_pole_distance(self, omega, width: float | None = None):
+    def check_pole_distance(self, omega):
         """Reject real evaluation points inside the pole exclusion band."""
         if _is_complex(omega):
             if abs(omega.imag) > 0.0:
                 return
             omega = omega.real
-        width = self.pole_exclusion if width is None else width
         hit = self.nearest_level(float(omega))
-        if hit is not None and hit[0] < width:
-            raise PoleProximityError(omega, float(self.energies[hit[1]]), hit[1] + 1, width)
+        if hit is not None and hit[0] < self.pole_exclusion:
+            raise PoleProximityError(
+                omega, float(self.energies[hit[1]]), hit[1] + 1, self.pole_exclusion
+            )
 
     # -- diagonal (renormalised) series ----------------------------------
 

@@ -2,14 +2,19 @@
 
 Independent second route to the eigenvalues of the N x N secular matrix:
 start from the mode-free diagonal and absorb the mode terms, one rank-one
-update per mode. Each absorption solves a bracketed secular equation whose
-roots interlace the previous diagonal, so the pass never loses a root.
+update per mode. Each absorption solves a secular equation whose roots
+interlace the previous diagonal, so every root is bracketed by known poles
+and the pass never loses one. A safeguarded rational iteration that models
+the two bracketing poles exactly (R.-C. Li's middle way, the method of
+LAPACK's dlaed4) finds all roots of an absorption in about five steps; with
+one scatterer an absorption is a plain shift.
 
 The engine is batched over energies: reductions at many omega run in
-lockstep (the per-step cost is a handful of vector operations), which keeps
-whole-window eigenvalue curves affordable despite the O(n_max * N^3) work
-per energy. `solver.solve_multi` remains the production path; this module
-is the cross-check and the home of the near-window approximation.
+lockstep, so every array operation of a step serves all of them, which
+keeps whole-window eigenvalue curves affordable despite the
+O(n_max * N^3) work per energy. `solver.solve_multi` remains the
+production path; this module is the cross-check and the home of the
+near-window approximation.
 """
 
 from __future__ import annotations
@@ -19,10 +24,12 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import PointBilliardError, ValidationError
 from .greens import GreensEvaluator
 
-BISECT_ITERS = 62
+# rational steps before the iteration falls back to plain bisection
+_RATIONAL_STEPS = 40
+_EPS = np.finfo(float).eps
 # a rank-one term with |weight| * z^2 below this cannot move any eigenvalue
 # at double precision; such coordinates are deflated exactly
 DEFLATE_ABS = 1e-30
@@ -166,8 +173,28 @@ def _absorb(d: np.ndarray, z: np.ndarray, c: np.ndarray):
 
     d must ascend along axis 1. Returns (new_d ascending, rotation) with
     rotation orthogonal per row: diag(d) + c zz^T = R diag(new_d) R^T.
+
+    Negligible weights are deflated and exact ties collapsed, so each root
+    of f(x) = sum_j z_j^2 / (x - d_j) - 1/c lies between two distinct live
+    poles, or between the outermost pole and the shift bound c * |z|^2.
+    A midpoint probe anchors each root at its nearer bracket end; the root
+    is then iterated as an offset s from that anchor, so the distances
+    x - d_j keep full relative accuracy however close it sits to a pole.
+    Each step fits the terms with poles at or left of the root's left pole,
+    and separately the rest, by one pole at the bracket end on their side,
+    matching value and slope (Li's middle way, as in dlaed4), and moves to
+    the zero of that two-pole model; a root bounded by the shift uses the
+    one-pole model, whose zero is linear. A step that leaves the sign
+    bracket is replaced by the bracket midpoint, and after _RATIONAL_STEPS
+    steps all rows bisect. A row stops when |f| is within its rounding
+    bound, when its step falls below one ulp of s, or, while bisecting,
+    when its bracket is narrower than 2**-62 of its gap. Recomputing the
+    update weights from the located roots (Gu and Eisenstat) keeps the
+    eigenvector columns mutually orthogonal to rounding.
     """
     b, n = d.shape
+    if n == 1:
+        return d + c[:, None] * z * z, np.ones((b, 1, 1))
     z = z.copy()
     scale = np.maximum(1.0, np.abs(d).max(axis=1))
     z[np.abs(c)[:, None] * z * z <= DEFLATE_ABS * scale[:, None]] = 0.0
@@ -175,57 +202,116 @@ def _absorb(d: np.ndarray, z: np.ndarray, c: np.ndarray):
 
     # pack active coordinates (z != 0) to the left, original order otherwise
     inactive = z == 0.0
-    pack = np.argsort(inactive, axis=1, kind="stable")
-    d_c = np.take_along_axis(d, pack, axis=1)
-    z_c = np.take_along_axis(z, pack, axis=1)
+    packed = bool(inactive.any())
+    if packed:
+        pack = np.argsort(inactive, axis=1, kind="stable")
+        d_c = np.take_along_axis(d, pack, axis=1)
+        z_c = np.take_along_axis(z, pack, axis=1)
+    else:
+        d_c, z_c = d, z
     m = (~inactive).sum(axis=1)
 
-    slot = np.arange(n)[None, :] < m[:, None]  # real root slots
+    idx = np.arange(n)
+    slot = idx[None, :] < m[:, None]  # real root slots
     z2 = z_c * z_c
     total = (z2 * slot).sum(axis=1)
     shift = c * total
+    # the shift bounds the outermost root only up to rounding: widen it
+    pad = 4.0 * n * _EPS * (np.abs(d_c).max(axis=1) + np.abs(shift))
+    reach = shift + np.copysign(pad, c)
 
     neg = (c < 0.0)[:, None]
     d_lo = np.concatenate((d_c[:, :1], d_c[:, :-1]), axis=1)
     d_hi = np.concatenate((d_c[:, 1:], d_c[:, -1:]), axis=1)
     left = np.where(neg, d_lo, d_c)
     right = np.where(neg, d_c, d_hi)
-    is_top = (~neg) & (np.arange(n)[None, :] == (m - 1)[:, None])
-    is_bottom = neg & (np.arange(n)[None, :] == 0)
-    left = np.where(is_bottom, d_c + shift[:, None], left)
-    right = np.where(is_top, d_c + shift[:, None], right)
+    is_top = (~neg) & (idx[None, :] == (m - 1)[:, None])
+    is_bottom = neg & (idx[None, :] == 0)
+    left = np.where(is_bottom, d_c + reach[:, None], left)
+    right = np.where(is_top, d_c + reach[:, None], right)
     left = np.where(slot, left, 0.0)
     right = np.where(slot, right, 1.0)
 
-    # anchor each root at the nearer bracket pole: probe the midpoint sign
-    inv_c = np.where(c != 0.0, 1.0 / c, np.inf)
+    # masked entries sit infinitely far away, so they contribute exactly 0
+    inv_c = np.where(c != 0.0, 1.0 / c, np.inf)[:, None]
     base_left = left[:, :, None] - d_c[:, None, :]
     base_right = right[:, :, None] - d_c[:, None, :]
     guard = slot[:, :, None] & slot[:, None, :]
-    base_left = np.where(guard, base_left, 1.0)
-    base_right = np.where(guard, base_right, 1.0)
+    base_left = np.where(guard, base_left, np.inf)
+    base_right = np.where(guard, base_right, np.inf)
     z2row = np.where(slot, z2, 0.0)[:, None, :]
+    # sides[b, t, j, 0] marks the poles at or left of root t's left pole
+    at_or_left = idx[None, None, :] <= (idx[None, :] - neg)[:, :, None]
+    sides = np.stack((at_or_left, ~at_or_left), axis=3).astype(float)
+    parts = np.empty((b, n, 2, n))
 
-    def secular(base, s):
-        return (z2row / (base + s[:, :, None])).sum(axis=2) - inv_c[:, None]
+    def evaluate(base, s):
+        """Sums of the terms and of their slopes over either side, (B, N, 2, 2)."""
+        gap = base + s[:, :, None]
+        np.divide(z2row, gap, out=parts[:, :, 0])
+        np.divide(parts[:, :, 0], gap, out=parts[:, :, 1])
+        return parts @ sides
 
-    mid0 = 0.5 * (right - left)
-    f_mid = secular(base_left, mid0)
-    anchor_right = (f_mid > 0.0) & ~is_top
+    # anchor each root at the nearer bracket pole: probe the midpoint sign
+    delta = right - left
+    mid0 = 0.5 * delta
+    sums = evaluate(base_left, mid0)
+    anchor_right = (sums[..., 0, 0] + sums[..., 0, 1] - inv_c > 0.0) & ~is_top
     anchor_right |= is_bottom
     base = np.where(anchor_right[:, :, None], base_right, base_left)
     anchor_val = np.where(anchor_right, right, left)
-    lo = np.where(anchor_right, left - right, 0.0)
-    hi = np.where(anchor_right, 0.0, right - left)
-    lo = np.where(slot, lo, 0.0)
-    hi = np.where(slot, hi, 0.0)
 
-    for _ in range(BISECT_ITERS):
-        s_mid = 0.5 * (lo + hi)
-        pos = secular(base, s_mid) > 0.0
-        lo = np.where(pos, s_mid, lo)
-        hi = np.where(pos, hi, s_mid)
-    s = 0.5 * (lo + hi)
+    # from here on side 0 is the anchor's side and side 1 the other one; in
+    # the anchored frame the model's poles sit at s = 0 and s = far
+    flip = anchor_right[:, :, None, None]
+    sides = np.where(flip, sides[..., ::-1], sides)
+    sums = np.where(flip, sums[..., ::-1], sums)
+    sgn = np.where(anchor_right, -1.0, 1.0)
+    far = sgn * delta
+    lo = np.minimum(far, 0.0)
+    hi = np.maximum(far, 0.0)
+    s = 0.5 * far
+    end = is_top | is_bottom
+    closed = 2.0 ** -62 * delta
+    floor_c = 8.0 * _EPS * np.abs(inv_c)
+    active = slot.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(_RATIONAL_STEPS + 64):
+            w_a, w_o = sums[..., 0, 0], sums[..., 0, 1]
+            f = w_a + w_o - inv_c
+            pos = f > 0.0
+            np.copyto(lo, s, where=pos)
+            np.copyto(hi, s, where=~pos)
+            # dlaed4's rounding bound: the two sides carry opposite signs
+            active &= np.abs(f) > 8.0 * _EPS * np.abs(w_a - w_o) + floor_c
+            mid = 0.5 * (lo + hi)
+            if step < _RATIONAL_STEPS:
+                # model C + S_a / s + S_o / (s - far), with S = gap^2 * slope
+                # of its side; t = |s| solves c_a t^2 + bq t - S_a delta = 0
+                dw_a, dw_o = sums[..., 1, 0], sums[..., 1, 1]
+                g_o = s - far
+                s_a = s * s * dw_a
+                s_o = g_o * g_o * dw_o
+                cc = f - s * dw_a - g_o * dw_o
+                c_a = sgn * cc
+                bq = s_a + s_o - c_a * delta
+                root = np.sqrt(bq * bq + 4.0 * delta * c_a * s_a)
+                t = 2.0 * delta * s_a / (bq + root)
+                np.copyto(t, (root - bq) / (2.0 * c_a), where=bq <= 0.0)
+                cand = sgn * t
+                # the shift end is no pole: the one-pole model's zero
+                np.copyto(cand, -s_a / cc, where=end)
+                np.copyto(cand, mid, where=~((cand > lo) & (cand < hi)))
+            else:
+                active &= hi - lo > closed
+                cand = mid
+            active &= np.abs(cand - s) > _EPS * np.abs(cand)
+            np.copyto(s, cand, where=active)
+            if not np.count_nonzero(active):
+                break
+            sums = evaluate(base, s)
+        else:
+            raise PointBilliardError("rank-one absorption exhausted its step budget")
 
     # recompute the update weights from the located roots; this is what
     # makes the eigenvector columns mutually orthogonal to rounding
@@ -250,7 +336,10 @@ def _absorb(d: np.ndarray, z: np.ndarray, c: np.ndarray):
 
     val_c = np.where(slot, anchor_val + s, d_c)
 
-    # scatter compressed coordinates back, then sort eigenvalues ascending
+    # with every coordinate live the roots already ascend; otherwise scatter
+    # compressed coordinates back, then sort eigenvalues ascending
+    if not packed:
+        return val_c, u_c
     u_full = np.zeros_like(u_c)
     np.put_along_axis(u_full, pack[:, :, None] * np.ones((1, 1, n), dtype=int), u_c, axis=1)
     order = np.argsort(val_c, axis=1, kind="stable")
