@@ -227,6 +227,17 @@ class GreensEvaluator:
             return [np.cumsum(w * kern) for w in weights]
         return [w @ kern for w in weights]
 
+    def _series_and_slope(self, omega, weights):
+        """_series and its derivative=True twin from one kernel.
+
+        The kernel is dotted, squared in place and dotted again, so both
+        lists are bit-identical to the two separate calls.
+        """
+        kern = 1.0 / (omega - self.energies)
+        values = [w @ kern for w in weights]
+        np.multiply(kern, kern, out=kern)
+        return values, [w @ kern for w in weights]
+
     def nearest_level(self, omega: float):
         """(distance, 0-based index) of the closest unperturbed level."""
         pos = int(np.searchsorted(self.energies, omega))
@@ -312,6 +323,14 @@ class GreensEvaluator:
         value = -self._series(omega, [self._entry(i, i)], derivative=True)[0]
         return value + self._tail_slope(omega)
 
+    def diag_and_derivative(self, i: int, omega, check_pole: bool = True):
+        """(diag, diag_derivative) at scatterer i from one kernel, bit-identical to both."""
+        if check_pole:
+            self.check_pole_distance(omega)
+        (value,), (slope,) = self._series_and_slope(omega, [self._entry(i, i)])
+        return (value + self._counterterm[i] + self.tail_correction(omega),
+                -slope + self._tail_slope(omega))
+
     def _tail_slope(self, omega):
         """d/domega of tail_correction: the ln(e_cut - omega) tail keeps falling."""
         if self.accuracy.tail_mode != "integral":
@@ -366,7 +385,22 @@ class GreensEvaluator:
         the free Green function between scatterers."""
         if check_pole:
             self.check_pole_distance(omega)
-        out = np.array(self._series(omega, self._weights.T))[self._column]
+        return self._secular_from(omega, self._series(omega, self._weights.T))
+
+    def secular_matrix_derivative(self, omega) -> np.ndarray:
+        """d/domega of secular_matrix at real omega (negative definite; no pole check)."""
+        return self._secular_slope_from(
+            omega, self._series(omega, self._weights.T, derivative=True))
+
+    def secular_matrix_and_derivative(self, omega):
+        """(secular_matrix, secular_matrix_derivative) from one kernel, bit-identical
+        to both (no pole check)."""
+        values, slopes = self._series_and_slope(omega, self._weights.T)
+        return self._secular_from(omega, values), self._secular_slope_from(omega, slopes)
+
+    def _secular_from(self, omega, values) -> np.ndarray:
+        """Secular matrix from the upper-triangle series values."""
+        out = np.array(values)[self._column]
         # one term at a time, in diag()'s order, so the diagonal is diag() - inv exactly
         diagonal = np.diag_indices(self.n)
         out[diagonal] += self._counterterm
@@ -374,9 +408,9 @@ class GreensEvaluator:
         out[diagonal] -= self.scatterers.inv_couplings
         return out
 
-    def secular_matrix_derivative(self, omega) -> np.ndarray:
-        """d/domega of secular_matrix at real omega (negative definite; no pole check)."""
-        out = -np.array(self._series(omega, self._weights.T, derivative=True))[self._column]
+    def _secular_slope_from(self, omega, slopes) -> np.ndarray:
+        """Derivative of the secular matrix from the upper-triangle squared-kernel sums."""
+        out = -np.array(slopes)[self._column]
         out[np.diag_indices(self.n)] += self._tail_slope(omega)
         return out
 

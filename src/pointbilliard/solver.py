@@ -7,9 +7,13 @@ zero at most once between consecutive poles, and once more at most below
 the first pole, where one to N states are always bound. The
 negative-eigenvalue counts at the two ends of such a gap name the curves
 that cross, and one bracketed iteration finds each root; root multiplicity
-is the number of curves crossing at the same energy. One scatterer is the
-case N = 1, with exactly one root per gap between distinct unperturbed
-levels and one bound state below them.
+is the number of curves crossing at the same energy. Each step of that
+iteration moves to the zero of a rational model holding the gap's two
+poles, C + S_a/(x - a) + S_b/(x - b), fitted to the curve's value and
+slope (one series pass for both) and one earlier value, so a curve that
+plunges into a pole costs no more steps than a flat one. One scatterer
+is the case N = 1, with exactly one root per gap between distinct
+unperturbed levels and one bound state below them.
 
 All roots are reported with their bracketing gap, an estimate of the
 remaining root displacement as residual, and a kind tag.
@@ -129,29 +133,74 @@ def _gaps(evaluator: GreensEvaluator, window: EnergyWindow) -> Iterator[tuple[fl
         yield a, b
 
 
-def _hybrid_root(f_and_slope, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
-    """Bracketed root of decreasing f: bisection with secant acceleration.
+def _model_root(a, b, x, f, slope, x_p, f_p) -> float:
+    """Zero of f ~ C + S_a / (x - a) + S_b / (x - b) fitted to f's samples.
 
-    f_and_slope(x) returns (f(x), f'(x)). Returns (root, residual): the
-    residual is |f/f'| when that falls to tol, else the bracket width once
-    the bracket is narrower than tol, or than 4 ulps where floats are
-    coarser (the root lies inside it). The bracket invariant
-    f(lo) > 0 > f(hi) is maintained; secant proposals outside the open
-    bracket, and every step after the 48th, fall back to bisection, so
-    convergence is guaranteed.
+    With a slope, the model matches f and f' at x and f at x_p; without
+    one (the first step, x and x_p the bracket ends) it matches the two
+    values with C = 0. When a is None there is no left pole, and the model
+    C + S_b / (x - b) matches either two values or value and slope. In the
+    offset t = x - a over the gap width w = b - a, the zero solves
+    C t^2 + (S_a + S_b - C w) t - S_a w = 0; the root taken is the one in
+    (0, w) when S_a, S_b > 0, written without cancellation. Returns nan
+    when the model has no real zero.
+    """
+    v, v_p = x - b, x_p - b
+    if a is None:
+        s_b = -slope * v * v if slope is not None else (f - f_p) * v * v_p / (x_p - x)
+        c = f - s_b / v
+        return b - s_b / c if c > 0.0 else math.nan
+    width = b - a
+    u, u_p = x - a, x_p - a
+    if slope is None:
+        s_a = u * u_p * (f * v - f_p * v_p) / (width * (x - x_p))
+        s_b = v * v_p * (f_p * u_p - f * u) / (width * (x - x_p))
+        c = 0.0
+    else:
+        # the model's slopes S / (x - pole)^2 at x split f' in two parts
+        secant = (f - f_p) / (x - x_p)
+        part_a = u_p * (slope * v - secant * v_p) / (width * (x_p - x))
+        part_b = -slope - part_a
+        s_a, s_b = part_a * u * u, part_b * v * v
+        c = f - part_a * u - part_b * v
+    bq = s_a + s_b - c * width
+    disc = bq * bq + 4.0 * c * s_a * width
+    if not disc >= 0.0:
+        return math.nan
+    root = math.sqrt(disc)
+    if bq > 0.0:
+        return a + 2.0 * s_a * width / (bq + root)
+    if c != 0.0:
+        return a + (root - bq) / (2.0 * c)
+    return math.nan
+
+
+def _hybrid_root(f_and_slope, a, b, lo: float, f_lo: float, hi: float, f_hi: float,
+                 tol: float):
+    """Bracketed root of decreasing f on (lo, hi), between poles a < b.
+
+    f_and_slope(x) returns (f(x), f'(x)); a is None when no pole bounds the
+    interval on the left (below ground). Each step moves to the zero of the
+    rational model of _model_root, which contains the gap's poles: the
+    first from the two bracket values, every later one from value and
+    slope at the latest iterate and the value at the one before. Returns
+    (root, residual): the residual is |f/f'| when that falls to tol, else
+    the bracket width once the bracket is narrower than tol, or than 4 ulps
+    where floats are coarser (the root lies inside it). The bracket
+    invariant f(lo) > 0 > f(hi) is maintained; a model zero outside the
+    open bracket, or none, and every step after the 48th, fall back to
+    bisection, so convergence is guaranteed.
     """
     if not (f_lo > 0.0 > f_hi):
         raise RootBracketError(
             f"invalid bracket [{lo}, {hi}]: f = ({f_lo:.3e}, {f_hi:.3e})"
         )
     x_prev, f_prev = lo, f_lo
-    x_cur, f_cur = hi, f_hi
+    x_cur, f_cur, slope = hi, f_hi, None
     for step in range(200):
-        denom = f_cur - f_prev
-        x_new = x_cur - f_cur * (x_cur - x_prev) / denom if denom != 0.0 else lo
-        # a secant still running after 48 steps has stalled (one iterate deep
-        # in a pole's plunge, the other creeping): bisection takes over
-        if step >= 48 or not lo < x_new < hi:
+        # a model still running after 48 steps has stalled: bisection takes over
+        x_new = _model_root(a, b, x_cur, f_cur, slope, x_prev, f_prev) if step < 48 else math.nan
+        if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         f_new, slope = f_and_slope(x_new)
         x_prev, f_prev = x_cur, f_cur
@@ -174,24 +223,23 @@ def _secular_curves(evaluator: GreensEvaluator):
     """(eigenvalues, curve): the two evaluations of the secular matrix M.
 
     eigenvalues(w) returns the sorted eigenvalues of M(w) and M(w) itself;
-    curve(t) returns w -> (sorted eigenvalue t of M(w), its slope). For one
-    scatterer M is the scalar diag - inv with slope diag_derivative, summed
-    directly: going through secular_matrix and eigh costs about a quarter
-    of the one-scatterer CLI throughput. Otherwise the slope is the
-    Hellmann-Feynman v^T M' v of eigenvector v.
+    curve(t) returns w -> (sorted eigenvalue t of M(w), its slope), with M
+    and M' summed from one kernel. For one scatterer M is the scalar
+    diag - inv with slope diag_derivative, summed directly: going through
+    secular_matrix and eigh costs about a quarter of the one-scatterer CLI
+    throughput. Otherwise the slope is the Hellmann-Feynman v^T M' v of
+    eigenvector v.
     """
     if evaluator.n == 1:
         inv = float(evaluator.scatterers.inv_couplings[0])
 
-        def f(w: float) -> float:
-            return evaluator.diag(0, w, check_pole=False) - inv
-
         def scalar(w: float):
-            m = np.array([[f(w)]])
+            m = np.array([[evaluator.diag(0, w, check_pole=False) - inv]])
             return m[0], m
 
         def f_and_slope(w: float):
-            return f(w), evaluator.diag_derivative(0, w, check_pole=False)
+            value, slope = evaluator.diag_and_derivative(0, w, check_pole=False)
+            return float(value - inv), float(slope)
 
         return scalar, lambda t: f_and_slope
 
@@ -201,9 +249,10 @@ def _secular_curves(evaluator: GreensEvaluator):
 
     def curve(t: int):
         def value_and_slope(w: float):
-            vals, vecs = np.linalg.eigh(evaluator.secular_matrix(w, check_pole=False))
+            m, m_slope = evaluator.secular_matrix_and_derivative(w)
+            vals, vecs = np.linalg.eigh(m)
             v = vecs[:, t]
-            return float(vals[t]), float(v @ evaluator.secular_matrix_derivative(w) @ v)
+            return float(vals[t]), float(v @ m_slope @ v)
 
         return value_and_slope
 
@@ -288,8 +337,8 @@ def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list
             if vals_lo[t] == 0.0:  # a zero is not yet negative: the root is lo
                 roots.append((lo, 0.0))
             else:
-                roots.append(_hybrid_root(curve(t), lo, float(vals_lo[t]),
-                                          hi, float(vals_hi[t]), tol))
+                roots.append(_hybrid_root(curve(t), None if kind == _BELOW else a, b,
+                                          lo, float(vals_lo[t]), hi, float(vals_hi[t]), tol))
         levels += [PerturbedLevel(root, (a, b), kind, resid) for root, resid in roots]
 
     levels = [lvl for lvl in levels if window.contains(lvl.omega)]

@@ -338,8 +338,8 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
             else:
                 hi = mid
         omega = 0.5 * (lo + hi)
-        gbar = float(evaluator.diag(0, omega))
-        slope = abs(float(evaluator.diag_derivative(0, omega)))
+        gbar, slope = evaluator.diag_and_derivative(0, omega)
+        gbar, slope = float(gbar), abs(float(slope))
         log_ref = m / (2.0 * math.pi) * math.log(omega / lam)
         rows.append(InflectionRow(omega=omega, gbar=gbar,
                                   log_reference=log_ref, abs_slope=slope,

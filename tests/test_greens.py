@@ -280,6 +280,12 @@ def test_secular_matrix_core_properties(golden, big_table, data):
     for i in range(n):
         assert d[i, i] == ev.diag_derivative(i, omega)
     assert np.all(np.linalg.eigvalsh(d) < 0.0)
+    # the fused calls sum both from one kernel, bit for bit the same
+    m_fused, d_fused = ev.secular_matrix_and_derivative(omega)
+    assert np.array_equal(m_fused, m) and np.array_equal(d_fused, d)
+    for i in range(n):
+        assert ev.diag_and_derivative(i, omega) == (ev.diag(i, omega),
+                                                    ev.diag_derivative(i, omega))
     h = 1e-4 * ev.nearest_level(omega)[0]
     # divide by the step actually taken: omega +- h rounds to the grid of
     # omega, which is coarse against h when omega sits close to a level

@@ -11,9 +11,11 @@ from scipy import optimize
 from pointbilliard import ValidationError
 from pointbilliard.basis import BilliardSpec, mode_table_with_count
 from pointbilliard.errors import PoleProximityError
+from pointbilliard.greens import GreensEvaluator
 from pointbilliard.solver import (
     EnergyWindow,
     _gaps,
+    _hybrid_root,
     build_eigenfunction,
     solve_multi,
     solve_single,
@@ -412,3 +414,127 @@ def test_interlacing_property_random_windows(ev1, start, span):
     levels = solve_single(ev1, window)
     assert len(levels) == span
     assert_interlaced(ev1, levels, window)
+
+
+# ------------------------------------------------------ rational step ---
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-1e3, 1e4), width=st.floats(0.1, 100.0), c=st.floats(-100.0, 100.0),
+       r_a=st.floats(1e-3, 100.0), r_b=st.floats(1e-3, 100.0), one_pole=st.booleans())
+def test_hybrid_root_solves_its_own_model_within_two_evaluations(a, width, c, r_a, r_b,
+                                                                 one_pole):
+    # f = C + S_a/(x - a) + S_b/(x - b) is the step's model: the first
+    # evaluation gives value and slope, and the fit through them and one
+    # end value is exact; below ground (no left pole) S_a = 0
+    b = a + width
+    s_a, s_b = (0.0 if one_pole else r_a * width), r_b * width
+    calls = []
+
+    def f(x):
+        return c + (s_a / (x - a) if s_a else 0.0) + s_b / (x - b)
+
+    def f_and_slope(x):
+        calls.append(x)
+        return f(x), -(s_a / (x - a) ** 2 if s_a else 0.0) - s_b / (x - b) ** 2
+
+    lo, hi = (a if one_pole else a + 1e-6 * width), b - 1e-6 * width
+    assume(f(lo) > 1e-6 and f(hi) < -1e-6)
+    tol = 1e-9
+    root, resid = _hybrid_root(f_and_slope, None if one_pole else a, b,
+                               lo, f(lo), hi, f(hi), tol)
+    assert len(calls) <= 2
+    assert lo < root < hi
+    assert resid <= tol
+
+
+def test_single_scatterer_levels_cost_few_series_sums(golden, generic_point, big_table,
+                                                      monkeypatch):
+    # every call below is one O(n_eff) pass over the 100k-mode kernel: the two
+    # end probes of a gap sum diag, each step sums value and slope together
+    counts = dict.fromkeys(("diag", "diag_derivative", "diag_and_derivative",
+                            "secular_matrix", "secular_matrix_and_derivative"), 0)
+    for name in counts:
+        method = getattr(GreensEvaluator, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(GreensEvaluator, name, counted)
+    ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=100_000)
+    levels = solve_single(ev, window_over_levels(ev, 30_000, 30_120))
+    assert len(levels) == 120
+    assert counts["diag_and_derivative"] / len(levels) <= 6.0
+    assert sum(counts.values()) / len(levels) <= 8.0
+
+
+def independent_secular_sum(spec, table, point, inv, n_max):
+    """diag - inv at one scatterer, summed from the sines, in its own order."""
+    mx, my = table.mx[:n_max].astype(float), table.my[:n_max].astype(float)
+    e = table.energies[:n_max]
+    phi_sq = (4.0 / spec.area) * (np.sin(np.pi * mx * point[0] / spec.lx)
+                                  * np.sin(np.pi * my * point[1] / spec.ly)) ** 2
+    constant = math.fsum(phi_sq * e / (e * e + 1.0)) - inv
+    e_cut = float(e[-1])
+    scale = spec.mass / (2.0 * math.pi)
+
+    def f(w):
+        tail = scale * math.log((e_cut - w) / math.sqrt(e_cut ** 2 + 1.0))
+        return math.fsum(phi_sq / (w - e)) + constant + tail
+
+    return f
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.integers(2, 12), p=st.integers(1, 11), log_eps=st.floats(-9.0, -4.0),
+       above=st.booleans(), on_x=st.booleans(), inv=st.floats(-1.0, 2.0),
+       start=st.integers(50, 2400), span=st.integers(3, 10),
+       edge_lo=st.floats(-1e-9, 1e-9), edge_hi=st.floats(-1e-9, 1e-9))
+@example(q=7, p=3, log_eps=-9.0, above=True, on_x=True, inv=0.3, start=700, span=10,
+         edge_lo=1e-9, edge_hi=-1e-9)
+@example(q=2, p=1, log_eps=-7.0, above=False, on_x=True, inv=0.0, start=58, span=10,
+         edge_lo=0.0, edge_hi=0.0)
+def test_single_roots_match_brentq_near_nodal_lines(golden, big_table, q, p, log_eps,
+                                                   above, on_x, inv, start, span,
+                                                   edge_lo, edge_hi):
+    # a scatterer eps off the nodal line p/q of one side leaves every mode
+    # with a multiple of q on that side a tiny weight, so its roots hug
+    # their poles; window edges sit within 1e-9 spacings of a pole
+    assume(p < q and math.gcd(p, q) == 1)
+    frac = p / q + (10.0 ** log_eps if above else -(10.0 ** log_eps))
+    fx, fy = (frac, GENERIC_Y_FRACTION) if on_x else (GENERIC_X, frac)
+    point = (fx * golden.lx, fy * golden.ly)
+    n_max = 3_000
+    ev = make_evaluator(golden, big_table, [point], [inv], n_max=n_max)
+    e = ev.energies
+    spacing = ev.mean_spacing
+    window = EnergyWindow(float(e[start]) + edge_lo * spacing,
+                          float(e[start + span]) + edge_hi * spacing)
+    tol = 1e-9
+    roots = np.array([lv.omega for lv in solve_single(ev, window, tol=tol)])
+
+    # oracle: brentq inside each gap on the independent sum, shrinking toward
+    # the poles until the signs differ; the last try is 4 ulps from both
+    # poles, so a shrink step cannot jump past a root that hugs a pole, and
+    # a root closer to its pole than that is the pole itself
+    f = independent_secular_sum(golden, big_table, point, inv, n_max)
+    oracle = []
+    for k in range(start - 1, start + span + 1):
+        a, b = float(e[k]), float(e[k + 1])
+        d = 1e-3 * (b - a)
+        floor = 4.0 * math.ulp(b)
+        while d > floor and (f(a + d) <= 0.0 or f(b - d) >= 0.0):
+            d = max(d / 32.0, floor)
+        if f(a + d) > 0.0 > f(b - d):
+            oracle.append(optimize.brentq(f, a + d, b - d, xtol=1e-13))
+        else:
+            oracle.append(a if f(a + floor) <= 0.0 else b)
+    oracle = np.array(oracle)
+
+    slack = 10.0 * tol
+    assert np.all((roots >= window.lo) & (roots <= window.hi))
+    for r in roots:
+        assert np.min(np.abs(oracle - r)) <= slack
+    for r in oracle[(oracle > window.lo + slack) & (oracle < window.hi - slack)]:
+        assert np.min(np.abs(roots - r)) <= slack
