@@ -24,7 +24,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .basis import GOLDEN_RATIO, BilliardSpec, build_mode_table, mode_table_with_count
+from .basis import BilliardSpec, build_mode_table, mode_table_with_count
 from .errors import PointBilliardError, ValidationError
 from .greens import GreensAccuracy, GreensEvaluator, ScattererSet
 from .solver import DEFAULT_ROOT_TOL, EnergyWindow, solve_multi, solve_single
@@ -89,39 +88,34 @@ class ResultEnvelope:
 
 
 def config_echo(config: RunConfig) -> dict:
-    return {
-        "billiard": {
-            "lx": config.billiard.lx,
-            "ly": config.billiard.ly,
-            "mass": config.billiard.mass,
-        },
-        "scatterers": {
-            "positions": [list(p) for p in config.scatterers.positions],
-            "inv_couplings": list(config.scatterers.inv_couplings),
-            "lambda_scale": config.scatterers.lambda_scale,
-        },
-        "window": None if config.window is None else
-        {"lo": config.window.lo, "hi": config.window.hi},
-        "accuracy": {
-            "n_max": config.accuracy.n_max,
-            "tail_mode": config.accuracy.tail_mode,
-            "offdiag_block_average": config.accuracy.offdiag_block_average,
-        },
-        "tol": config.tol,
-    }
+    """The configuration as nested dicts, in the layout of the config file."""
+    return dataclasses.asdict(config)
 
 
-_SECTION_KEYS = {
-    "billiard": ("lx", "ly", "mass"),
-    "scatterers": ("positions", "inv_couplings", "lambda_scale"),
-    "window": ("lo", "hi"),
-    "accuracy": ("n_max", "tail_mode", "offdiag_block_average"),
-}
+_SECTION_KEYS = {name: tuple(f.name for f in dataclasses.fields(cls)) for name, cls in (
+    ("billiard", BilliardSpec), ("scatterers", ScattererSet), ("window", EnergyWindow),
+    ("accuracy", GreensAccuracy))}
 _KNOWN_KEYS = tuple(_SECTION_KEYS) + ("tol",)
 
 
+def _number(value, key: str, integral: bool = False, positive: bool = False) -> float:
+    """value as a float if it is a finite JSON number, not a boolean, and
+    integral or positive when asked; otherwise a ValidationError naming key."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and (not integral or value == int(value))
+            and (not positive or value > 0)):
+        return float(value)
+    kind = ("an integer" if integral else
+            "a finite positive number" if positive else "a finite number")
+    raise ValidationError(f"{key} must be {kind}, got {value!r}")
+
+
 def config_from_mapping(doc: dict) -> RunConfig:
-    """Build a RunConfig, collecting every violated precondition at once."""
+    """Build a RunConfig, collecting every violated precondition at once.
+
+    Numbers must be finite JSON numbers, not booleans, and n_max an
+    integral one; offdiag_block_average must be a JSON boolean.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("configuration must be a JSON object")
     problems = []
@@ -132,50 +126,54 @@ def config_from_mapping(doc: dict) -> RunConfig:
             problems += [f"unknown key '{key}.{sub}'" for sub in value
                          if sub not in _SECTION_KEYS[key]]
 
-    billiard = None
-    b = doc.get("billiard", {})
-    try:
-        billiard = BilliardSpec(lx=float(b.get("lx", 1.0)),
-                                ly=float(b.get("ly", GOLDEN_RATIO)),
-                                mass=float(b.get("mass", 1.0)))
-    except (ValidationError, ValueError, TypeError, AttributeError) as exc:
-        problems.append(f"billiard: {exc}")
+    def section(name: str) -> dict:
+        value = doc.get(name, {})
+        if not isinstance(value, dict):
+            raise ValidationError(f"must be an object, got {value!r}")
+        return value
 
-    scatterers = None
-    s = doc.get("scatterers", {"positions": [], "inv_couplings": []})
-    try:
-        scatterers = ScattererSet(
-            positions=tuple(tuple(p) for p in s.get("positions", [])),
-            inv_couplings=tuple(s.get("inv_couplings", [])),
-            lambda_scale=float(s.get("lambda_scale", 1.0)))
-    except (ValidationError, ValueError, TypeError, AttributeError) as exc:
-        problems.append(f"scatterers: {exc}")
+    def numbers(value, key: str, length: int | None = None) -> tuple:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise ValidationError(f"{key} must be a list of {length or 'finite'} numbers, "
+                                  f"got {value!r}")
+        return tuple(_number(v, key) for v in value)
 
-    window = None
-    if doc.get("window") is not None:
-        w = doc["window"]
+    def scatterer_set():
+        s = section("scatterers")
+        positions = s.get("positions", [])
+        if not isinstance(positions, list):
+            raise ValidationError(f"positions must be a list of [x, y] pairs, got {positions!r}")
+        return ScattererSet(tuple(numbers(p, "positions", 2) for p in positions),
+                            numbers(s.get("inv_couplings", []), "inv_couplings"),
+                            _number(s.get("lambda_scale", 1.0), "lambda_scale"))
+
+    def energy_window():
+        w = section("window")
+        return EnergyWindow(_number(w.get("lo"), "lo"), _number(w.get("hi"), "hi"))
+
+    def greens_accuracy():
+        a = section("accuracy")
+        flag = a.get("offdiag_block_average", True)
+        if not isinstance(flag, bool):
+            raise ValidationError(f"offdiag_block_average must be true or false, got {flag!r}")
+        return GreensAccuracy(int(_number(a.get("n_max", 100_000), "n_max", integral=True)),
+                              a.get("tail_mode", "integral"), flag)
+
+    def attempt(name: str | None, build):
+        """build(), or None with its problem recorded under name."""
         try:
-            window = EnergyWindow(float(w["lo"]), float(w["hi"]))
-        except (ValidationError, ValueError, TypeError, KeyError) as exc:
-            problems.append(f"window: {exc!r}")
+            return build()
+        except ValidationError as exc:
+            problems.append(f"{name}: {exc}" if name else str(exc))
+            return None
 
-    accuracy = None
-    a = doc.get("accuracy", {})
-    try:
-        accuracy = GreensAccuracy(
-            n_max=int(a.get("n_max", 100_000)),
-            tail_mode=str(a.get("tail_mode", "integral")),
-            offdiag_block_average=bool(a.get("offdiag_block_average", True)))
-    except (ValidationError, ValueError, TypeError, AttributeError) as exc:
-        problems.append(f"accuracy: {exc}")
-
-    tol = doc.get("tol", DEFAULT_ROOT_TOL)
-    try:
-        tol = float(tol)
-        if not (math.isfinite(tol) and tol > 0.0):
-            problems.append(f"tol: must be finite and positive, got {tol!r}")
-    except (ValueError, TypeError):
-        problems.append(f"tol: not a number: {tol!r}")
+    billiard = attempt("billiard", lambda: BilliardSpec(**{
+        k: _number(v, k) for k, v in section("billiard").items()
+        if k in _SECTION_KEYS["billiard"]}))
+    scatterers = attempt("scatterers", scatterer_set)
+    window = None if doc.get("window") is None else attempt("window", energy_window)
+    accuracy = attempt("accuracy", greens_accuracy)
+    tol = attempt(None, lambda: _number(doc.get("tol", DEFAULT_ROOT_TOL), "tol", positive=True))
 
     if billiard is not None and scatterers is not None:
         for i, (x, y) in enumerate(scatterers.positions):
@@ -196,7 +194,7 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal too long to read
         raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from exc
     return config_from_mapping(doc)
 
@@ -383,10 +381,7 @@ def cmd_survey(config: RunConfig, min_gaps: int = 30) -> ResultEnvelope:
                               rows=(), diagnostics=diagnostics)
     survey = statsmod.gbar_inflection_survey(evaluator, window,
                                              min_gaps=min_gaps)
-    rows = tuple(
-        {"omega": r.omega, "gbar": r.gbar, "log_reference": r.log_reference,
-         "abs_slope": r.abs_slope, "gap_lo": r.gap_lo, "gap_hi": r.gap_hi}
-        for r in survey.rows)
+    rows = tuple(dataclasses.asdict(r) for r in survey.rows)
     diagnostics = {
         "n_gaps": len(survey.rows) + len(survey.skipped),
         "mean_spacing": survey.mean_spacing,
@@ -556,9 +551,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
         accuracy = dataclasses.replace(config.accuracy, n_max=args.nmax)
         config = dataclasses.replace(config, accuracy=accuracy)
     if getattr(args, "tol", None) is not None:
-        if args.tol <= 0.0:
-            raise ValidationError(f"--tol must be positive, got {args.tol}")
-        config = dataclasses.replace(config, tol=args.tol)
+        config = dataclasses.replace(config, tol=_number(args.tol, "--tol", positive=True))
     return config
 
 

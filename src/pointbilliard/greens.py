@@ -227,16 +227,20 @@ class GreensEvaluator:
             return [np.cumsum(w * kern) for w in weights]
         return [w @ kern for w in weights]
 
-    def _series_and_slope(self, omega, weights):
-        """_series and its derivative=True twin from one kernel.
+    def _series_and_slope(self, omega, weights, power: int = 1):
+        """Sums of w[n] k^power and w[n] k^(power + 1), k = 1/(omega - e_n).
 
-        The kernel is dotted, squared in place and dotted again, so both
-        lists are bit-identical to the two separate calls.
+        The power is dotted, multiplied by k in place and dotted again; at
+        power 1 both lists are bit-identical to _series and its
+        derivative=True twin.
         """
         kern = 1.0 / (omega - self.energies)
-        values = [w @ kern for w in weights]
-        np.multiply(kern, kern, out=kern)
-        return values, [w @ kern for w in weights]
+        term = kern.copy() if power > 1 else kern
+        for _ in range(power - 1):  # products: pow() is 100x slower on these kernels
+            term *= kern
+        values = [w @ term for w in weights]
+        np.multiply(term, kern, out=term)
+        return values, [w @ term for w in weights]
 
     def nearest_level(self, omega: float):
         """(distance, 0-based index) of the closest unperturbed level."""
@@ -321,7 +325,7 @@ class GreensEvaluator:
         if check_pole:
             self.check_pole_distance(omega)
         value = -self._series(omega, [self._entry(i, i)], derivative=True)[0]
-        return value + self._tail_slope(omega)
+        return value + self._tail_derivative(omega)
 
     def diag_and_derivative(self, i: int, omega, check_pole: bool = True):
         """(diag, diag_derivative) at scatterer i from one kernel, bit-identical to both."""
@@ -329,13 +333,22 @@ class GreensEvaluator:
             self.check_pole_distance(omega)
         (value,), (slope,) = self._series_and_slope(omega, [self._entry(i, i)])
         return (value + self._counterterm[i] + self.tail_correction(omega),
-                -slope + self._tail_slope(omega))
+                -slope + self._tail_derivative(omega))
 
-    def _tail_slope(self, omega):
-        """d/domega of tail_correction: the ln(e_cut - omega) tail keeps falling."""
+    def diag_curvature_and_derivative(self, i: int, omega):
+        """Second and third derivatives of diag at scatterer i from one kernel (no
+        pole check): 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
+        plus the tail's, the third negative everywhere."""
+        (curv,), (third,) = self._series_and_slope(omega, [self._entry(i, i)], power=3)
+        return (2.0 * curv + self._tail_derivative(omega, 2),
+                -6.0 * third + self._tail_derivative(omega, 3))
+
+    def _tail_derivative(self, omega, order: int = 1):
+        """d^order/domega^order of tail_correction, -(mass/2pi) (order-1)!/(e_cut - omega)^order."""
         if self.accuracy.tail_mode != "integral":
             return 0.0
-        return -self.billiard.mass / (2.0 * math.pi) / (self.cutoff_energy - omega)
+        return (-self.billiard.mass / (2.0 * math.pi) * math.factorial(order - 1)
+                / (self.cutoff_energy - omega) ** order)
 
     def derivative_error(self, omega) -> float:
         """Remainder bound for diag_derivative (series decays like 1/n^2)."""
@@ -411,7 +424,7 @@ class GreensEvaluator:
     def _secular_slope_from(self, omega, slopes) -> np.ndarray:
         """Derivative of the secular matrix from the upper-triangle squared-kernel sums."""
         out = -np.array(slopes)[self._column]
-        out[np.diag_indices(self.n)] += self._tail_slope(omega)
+        out[np.diag_indices(self.n)] += self._tail_derivative(omega)
         return out
 
     def secular_matrix_batch(self, omegas, check_pole: bool = True) -> np.ndarray:

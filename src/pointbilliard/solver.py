@@ -310,8 +310,8 @@ def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list
     upper end cross zero in it, each once, and _hybrid_root follows each.
     Coincident roots (degenerate zero eigenvalues) come once per curve.
     """
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
     e_top = float(evaluator.energies[-1])
     if window.hi > 0.9 * e_top:
         raise ValidationError(

@@ -11,6 +11,7 @@ inside each unperturbed gap.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 from .basis import BilliardSpec
 from .errors import ValidationError
 from .greens import GreensEvaluator, ScattererSet
-from .solver import EnergyWindow
+from .solver import DEFAULT_ROOT_TOL, EnergyWindow, _hybrid_root
 
 __all__ = [
     "REFERENCE_KINDS",
@@ -64,7 +65,10 @@ class UnfoldedSpectrum:
         return int(self.raw.size)
 
     def spacings(self) -> np.ndarray:
-        return np.diff(self.unfolded)
+        # from the raw differences: differencing the large unfolded values
+        # would cost digits when the window sits far from zero
+        raw = self.raw
+        return np.diff(raw) * (raw.size - 1) / (raw[-1] - raw[0])
 
 
 @dataclass(frozen=True)
@@ -278,14 +282,15 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
 
     For a single scatterer the regularised diagonal resolvent rises from
     -inf to +inf across every gap between consecutive unperturbed levels
-    it couples to, with one inflection point in between.  The survey
-    finds that point by bisecting the sign change of the second
-    derivative, estimated by central differences of the analytic first
-    derivative with step 1e-3 times the mean level spacing,
-    and records the resolvent value and slope there next to the
-    logarithmic law they are predicted to follow.
+    it couples to. Its third derivative is negative everywhere, so the
+    second derivative falls from +inf to -inf across the gap and the
+    inflection is its one zero: probed next to both poles as the level
+    solver does, and found by the solver's root iteration to
+    DEFAULT_ROOT_TOL. The survey records the resolvent value and slope
+    there next to the logarithmic law they are predicted to follow.
 
-    Gaps too narrow for the finite-difference stencil are skipped and
+    Gaps whose probes do not bracket a zero (a mode with no weight at the
+    scatterer) or leave no room between them (degenerate levels) are
     reported in ``skipped`` rather than silently dropped.
     """
     if evaluator.scatterers.n != 1:
@@ -306,39 +311,26 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
 
     lam = evaluator.scatterers.lambda_scale
     m = evaluator.billiard.mass
-    h = 1e-3 * evaluator.mean_spacing
 
-    def curvature(w: float) -> float:
-        return (evaluator.diag_derivative(0, w + h)
-                - evaluator.diag_derivative(0, w - h))
-
+    curvature = functools.partial(evaluator.diag_curvature_and_derivative, 0)
     rows = []
     skipped = []
     for k in range(n_gaps):
         a = float(inside[k])
         b = float(inside[k + 1])
-        gap = b - a
-        if gap <= 8.0 * h:
-            skipped.append(
-                f"gap [{a:.9g}, {b:.9g}] narrower than the difference stencil")
+        start = min(evaluator.pole_exclusion, 1e-3 * (b - a))
+        lo, hi = a + start, b - start
+        if not a < lo < hi < b:
+            skipped.append(f"gap [{a:.9g}, {b:.9g}] too narrow to probe inside")
             continue
-        lo = a + 3.0 * h
-        hi = b - 3.0 * h
-        f_lo = curvature(lo)
-        f_hi = curvature(hi)
+        f_lo, f_hi = curvature(lo)[0], curvature(hi)[0]
         if not (f_lo > 0.0 > f_hi):
             # zero-weight mode on one side: no pole, no curvature flip
             skipped.append(
                 f"gap [{a:.9g}, {b:.9g}] shows no curvature sign change")
             continue
-        while hi - lo > h:
-            mid = 0.5 * (lo + hi)
-            if curvature(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        omega = 0.5 * (lo + hi)
-        gbar, slope = evaluator.diag_and_derivative(0, omega)
+        omega = float(_hybrid_root(curvature, a, b, lo, f_lo, hi, f_hi, DEFAULT_ROOT_TOL)[0])
+        gbar, slope = evaluator.diag_and_derivative(0, omega, check_pole=False)
         gbar, slope = float(gbar), abs(float(slope))
         log_ref = m / (2.0 * math.pi) * math.log(omega / lam)
         rows.append(InflectionRow(omega=omega, gbar=gbar,

@@ -1,12 +1,19 @@
 """End-to-end command-line behavior: configs, formats, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointbilliard import cli
 from pointbilliard.errors import RootBracketError
@@ -129,6 +136,67 @@ def test_unknown_nested_keys_are_rejected_by_name(tmp_path, capsys):
     for fragment in ("billiard.height", "scatterers.charge", "window.step",
                      "accuracy.target_abs_err"):
         assert fragment in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, level_energy, capsys, tol):
+    cfg = write_config(tmp_path, window=(level_energy(200), level_energy(240)))
+    rc = cli.main(["spectrum", "--config", cfg, f"--tol={tol}"])
+    assert rc == 2
+    assert "--tol must be" in capsys.readouterr().err
+
+
+_NUMBER_KEYS = [("billiard", "lx"), ("billiard", "ly"), ("billiard", "mass"),
+                ("scatterers", "lambda_scale"), ("window", "lo"), ("window", "hi"),
+                (None, "tol")]
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 1e400])
+_NOT_NUMBERS = st.one_of(st.booleans(), st.none(), st.text(max_size=4),
+                         st.just([1.0]), st.just({"v": 1.0}), _NOT_FINITE)
+
+
+def _malformed_entries():
+    """(section, key, value) with a value of the wrong JSON type, non-finite,
+    fractional where an integer is expected, or boolean where a number is."""
+    return st.one_of(
+        st.tuples(st.sampled_from(_NUMBER_KEYS), _NOT_NUMBERS).map(lambda t: (*t[0], t[1])),
+        st.tuples(st.just(("accuracy", "n_max")),
+                  st.one_of(_NOT_NUMBERS, st.sampled_from([2.7, 0.5, 3000.25]))
+                  ).map(lambda t: (*t[0], t[1])),
+        st.tuples(st.just("accuracy"), st.just("tail_mode"),
+                  st.one_of(st.booleans(), st.none(), st.integers(), st.just(["integral"]))),
+        st.tuples(st.just("accuracy"), st.just("offdiag_block_average"),
+                  st.one_of(st.sampled_from(["false", "true", 0, 1, 0.0]), st.none(),
+                            st.just([True]))),
+        st.tuples(st.just("scatterers"), st.just("inv_couplings"),
+                  st.one_of(st.booleans(), st.none(), st.text(max_size=4), st.just(0.3),
+                            _NOT_NUMBERS.map(lambda v: [v]))),
+        st.tuples(st.just("scatterers"), st.just("positions"),
+                  st.one_of(st.none(), st.just(0.3), st.just([0.4, 0.5]), st.just([[0.4]]),
+                            st.just([[0.4, 0.5, 0.6]]),
+                            _NOT_NUMBERS.map(lambda v: [[0.4, v]]))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry=_malformed_entries())
+def test_malformed_config_values_exit_2_naming_the_key(tmp_path_factory, entry):
+    section, key, value = entry
+    doc = {"billiard": {"lx": 1.0, "ly": 1.5, "mass": 1.0},
+           "scatterers": {"positions": [[0.4, 0.5]], "inv_couplings": [0.3],
+                          "lambda_scale": 1.0},
+           "window": {"lo": 700.0, "hi": 760.0},
+           "accuracy": {"n_max": 3000, "tail_mode": "integral",
+                        "offdiag_block_average": True},
+           "tol": 1e-9}
+    (doc if section is None else doc[section])[key] = value
+    path = tmp_path_factory.mktemp("cfg") / "bad.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["predict", "--config", str(path)])
+    assert rc == 2
+    assert (key if section is None else f"{section}: {key}") in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_inverted_window_flag_reports_the_real_problem(tmp_path, capsys):
@@ -317,12 +385,17 @@ def test_symmetry_placement_is_flagged(tmp_path, level_energy):
 
 
 def test_console_script_smoke(tmp_path, level_energy):
+    # without an installed console script (a source checkout on PYTHONPATH),
+    # run its [project.scripts] entry point pointbilliard.cli:main instead
     exe = shutil.which("pointbilliard")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    command = [exe] if exe else [
+        sys.executable, "-c", "import sys; from pointbilliard.cli import main; sys.exit(main())"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cfg = write_config(tmp_path, window=(level_energy(200), level_energy(240)))
-    proc = subprocess.run([exe, "spectrum", "--config", cfg, "--format", "csv"],
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([*command, "spectrum", "--config", cfg, "--format", "csv"],
+                          capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("# schema: pointbilliard.spectrum/")
     header, data = parse_csv(proc.stdout)

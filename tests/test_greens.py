@@ -82,6 +82,34 @@ def test_diag_derivative_matches_finite_difference(ev1):
     assert ev1.diag_derivative(0, omega) == pytest.approx(fd, rel=1e-6)
 
 
+@pytest.mark.parametrize("tail_mode", ["integral", "none"])
+def test_diag_curvature_matches_mode_sums_and_differences(golden, generic_point, big_table,
+                                                          tail_mode):
+    # oracle: the mode sums 2 phi^2/(w - e)^3 and -6 phi^2/(w - e)^4 in fsum,
+    # plus the tail's derivatives of (M/2pi) ln(e_cut - w) written out
+    ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=3_000,
+                        tail_mode=tail_mode)
+    phi_sq = ev.phi_values[:, 0] ** 2
+    scale = golden.mass / (2.0 * math.pi) if tail_mode == "integral" else 0.0
+    for k in (40, 400, 2_000):
+        omega = gap_midpoint(ev, k)
+        d = omega - ev.energies
+        gap = ev.cutoff_energy - omega
+        curv, third = ev.diag_curvature_and_derivative(0, omega)
+        terms = 2.0 * phi_sq / d ** 3  # of both signs: compare on the scale of their sizes
+        assert abs(curv - (math.fsum(terms) - scale / gap ** 2)) <= 1e-12 * np.abs(terms).sum()
+        assert third == pytest.approx(math.fsum(-6.0 * phi_sq / d ** 4) - 2.0 * scale / gap ** 3,
+                                      rel=1e-12)
+        assert third < 0.0
+        # and the central difference of the analytic slope
+        h = 1e-5 * ev.nearest_level(omega)[0]
+        up, down = omega + h, omega - h
+        fd = (ev.diag_derivative(0, up) - ev.diag_derivative(0, down)) / (up - down)
+        assert curv == pytest.approx(fd, rel=1e-6)
+        # the slope's tail term is the order-1 case, bit for bit its old closed form
+        assert ev._tail_derivative(omega) == -scale / gap
+
+
 def test_derivative_error_bounds_truncation(golden, generic_point, big_table):
     small = make_evaluator(golden, big_table, [generic_point], [0.3],
                            n_max=25_000)

@@ -395,8 +395,9 @@ def test_window_and_argument_validation(ev1):
         EnergyWindow(5.0, 5.0)
     with pytest.raises(ValidationError):
         EnergyWindow(math.nan, 10.0)
-    with pytest.raises(ValidationError):
-        solve_single(ev1, window_over_levels(ev1, 100, 120), tol=-1.0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            solve_single(ev1, window_over_levels(ev1, 100, 120), tol=tol)
     # windows reaching into the truncation-dominated top of the table
     with pytest.raises(ValidationError):
         solve_single(ev1, EnergyWindow(100.0, 0.99 * ev1.cutoff_energy))
