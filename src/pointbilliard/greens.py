@@ -254,12 +254,16 @@ class GreensEvaluator:
         return best
 
     def check_pole_distance(self, omega):
-        """Reject real evaluation points inside the pole exclusion band."""
+        """Reject non-finite real evaluation points and those inside the pole
+        exclusion band."""
         if _is_complex(omega):
             if abs(omega.imag) > 0.0:
                 return
             omega = omega.real
-        hit = self.nearest_level(float(omega))
+        omega = float(omega)
+        if not math.isfinite(omega):
+            raise ValidationError(f"omega {omega!r} must be finite")
+        hit = self.nearest_level(omega)
         if hit is not None and hit[0] < self.pole_exclusion:
             raise PoleProximityError(
                 omega, float(self.energies[hit[1]]), hit[1] + 1, self.pole_exclusion

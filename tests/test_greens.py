@@ -11,6 +11,7 @@ from scipy import integrate
 from pointbilliard import ValidationError, eval_eigenfunction
 from pointbilliard.errors import PoleProximityError
 from pointbilliard.greens import GreensAccuracy, GreensEvaluator, ScattererSet
+from pointbilliard.rankone import decompose, reduce_full
 
 from conftest import gap_midpoint, make_evaluator
 
@@ -188,6 +189,22 @@ def test_pole_exclusion_raises(ev1):
         ev1.diag(0, pole + 0.1 * ev1.pole_exclusion)
     # just outside the exclusion zone is fine
     ev1.diag(0, pole + 10.0 * ev1.pole_exclusion)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_non_finite_energy_is_rejected(ev2, omega):
+    # nan sits at no distance from any pole, so the pole gate let it through
+    # and every entry point returned nan (inf for diag at -inf)
+    calls = (
+        lambda: ev2.diag(0, omega),
+        lambda: ev2.offdiag(0, 1, omega),
+        lambda: ev2.secular_matrix(omega),
+        lambda: decompose(ev2, omega),
+        lambda: reduce_full(ev2, omega),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be finite"):
+            call()
 
 
 def test_unregularized_sums_match_bruteforce(golden, generic_point, big_table):

@@ -12,7 +12,6 @@ from pointbilliard.basis import BilliardSpec
 from pointbilliard.errors import PoleProximityError
 from pointbilliard.greens import GreensAccuracy, GreensEvaluator, ScattererSet
 from pointbilliard.rankone import (
-    DEFLATE_ABS,
     SigmaDecomposition,
     _absorb,
     approximate_sigma,
@@ -27,6 +26,13 @@ from conftest import GENERIC_X, GENERIC_Y_FRACTION, SECOND_X, SECOND_Y_FRACTION,
 
 THIRD_X, THIRD_Y_FRACTION = 0.3183098861837907, 0.5641895835477563
 FOURTH_X, FOURTH_Y_FRACTION = 0.6065306597126334, 0.7071067811865476
+# four more irrational fraction pairs: 3 - 2 sqrt 2, sqrt 3 / 2, Euler's
+# gamma, 2 - sqrt 3, sin 1, log10 e, ln 2, pi / 4
+MORE_FRACTIONS = [(0.1715728752538099, 0.8660254037844386),
+                  (0.5772156649015329, 0.2679491924311227),
+                  (0.8414709848078965, 0.4342944819032518),
+                  (0.6931471805599453, 0.7853981633974483)]
+INV_COUPLINGS = [0.3, -0.4, 1.1, 0.05, -0.7, 0.6, -0.2, 0.9]
 
 
 def positions_for(golden, count):
@@ -35,6 +41,7 @@ def positions_for(golden, count):
         (SECOND_X, SECOND_Y_FRACTION),
         (THIRD_X, THIRD_Y_FRACTION),
         (FOURTH_X, FOURTH_Y_FRACTION),
+        *MORE_FRACTIONS,
     ][:count]
     return [(fx * golden.lx, fy * golden.ly) for fx, fy in fracs]
 
@@ -42,7 +49,7 @@ def positions_for(golden, count):
 @pytest.fixture(scope="module")
 def ev3(golden, big_table):
     return make_evaluator(golden, big_table, positions_for(golden, 3),
-                          [0.3, -0.4, 1.1])
+                          INV_COUPLINGS[:3])
 
 
 def test_decompose_reassembles_secular_matrix(ev2):
@@ -70,17 +77,20 @@ def test_reduce_full_matches_dense_eigh(ev3):
     assert worst < 1e-8
 
 
-def test_batch_matches_single_calls(ev3):
-    omegas = np.array([gap_midpoint(ev3, k) for k in (60, 61, 450, 700)])
-    batch = reduce_full_batch(ev3, omegas)
-    singles = np.vstack([reduce_full(ev3, float(w)) for w in omegas])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_batch_matches_single_calls(golden, big_table, n):
+    # N = 1 takes the shift branch; N >= 2 one eigensolve of a (B, N, N) stack
+    ev = make_evaluator(golden, big_table, positions_for(golden, n), INV_COUPLINGS[:n])
+    omegas = np.array([gap_midpoint(ev, k) for k in (60, 61, 450, 700)])
+    batch = reduce_full_batch(ev, omegas)
+    singles = np.vstack([reduce_full(ev, float(w)) for w in omegas])
     scale = np.max(np.abs(singles))
     assert np.allclose(batch, singles, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_step_chain_identities(golden, big_table):
     ev = make_evaluator(golden, big_table, positions_for(golden, 4),
-                        [0.3, -0.4, 1.1, 0.05], n_max=500)
+                        INV_COUPLINGS[:4], n_max=500)
     w = gap_midpoint(ev, 120)
     dec = decompose(ev, w)
     state = initial_state(dec)
@@ -234,11 +244,12 @@ def _diagonal(draw, n):
 
 @st.composite
 def _update(draw, d):
-    """Update vector with zeros, entries either side of the deflation
-    threshold, and entries that put a root a few ulps from its pole."""
+    """Update vector with zeros, entries either side of |c| z^2 = 1e-30 * scale,
+    below which a term cannot move any eigenvalue at double precision, and
+    entries that put a root a few ulps from its pole."""
     sign = draw(st.sampled_from((-1.0, 1.0)))
     c = sign * 10.0 ** draw(st.floats(-10.0, 6.0))
-    threshold = np.sqrt(DEFLATE_ABS * max(1.0, float(np.max(np.abs(d)))) / abs(c))
+    threshold = np.sqrt(1e-30 * max(1.0, float(np.max(np.abs(d)))) / abs(c))
     z = []
     for dj in d:
         kind = draw(st.sampled_from(("plain", "plain", "zero", "below", "above", "ulps")))
