@@ -39,6 +39,10 @@ TAIL_MODES = ("none", "integral")
 # Default half-width of the exclusion band around each unperturbed level,
 # in units of the mean spacing.
 POLE_EXCLUSION_FACTOR = 1e-9
+# modes whose weight at every scatterer falls below this (relative to the
+# uniform value 4/area) contribute no resolvable pole: such a weight is the
+# rounding noise of a node (about (m eps)^2 for mode number m), not a pole
+POLE_WEIGHT_FLOOR = 1e-22
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,7 @@ class GreensEvaluator:
         self._deficiency = (self._phi ** 2 / denom[:, None]).sum(axis=0)
         self._block_weights = self._build_block_weights()
         self._weights, self._column = self._build_weight_matrix()
+        self._resolvable_diag = {}
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -342,8 +347,18 @@ class GreensEvaluator:
     def diag_curvature_and_derivative(self, i: int, omega):
         """Second and third derivatives of diag at scatterer i from one kernel (no
         pole check): 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
-        plus the tail's, the third negative everywhere."""
-        (curv,), (third,) = self._series_and_slope(omega, [self._entry(i, i)], power=3)
+        plus the tail's, the third negative everywhere.
+
+        Weights below POLE_WEIGHT_FLOOR count as zero here: the cubic kernel
+        lets such a noise weight plant a spurious zero of the curvature some
+        1e-8 from its level, outside the pole exclusion band.
+        """
+        weights = self._resolvable_diag.get(i)
+        if weights is None:
+            weights = self._entry(i, i)
+            floor = POLE_WEIGHT_FLOOR * 4.0 / self.billiard.area
+            weights = self._resolvable_diag.setdefault(i, np.where(weights > floor, weights, 0.0))
+        (curv,), (third,) = self._series_and_slope(omega, [weights], power=3)
         return (2.0 * curv + self._tail_derivative(omega, 2),
                 -6.0 * third + self._tail_derivative(omega, 3))
 

@@ -33,12 +33,9 @@ from .errors import (
     RootBracketError,
     ValidationError,
 )
-from .greens import GreensEvaluator
+from .greens import POLE_WEIGHT_FLOOR, GreensEvaluator
 
 DEFAULT_ROOT_TOL = 1e-9
-# modes whose weight at every scatterer falls below this (relative to the
-# uniform value 4/area) contribute no resolvable pole; their gaps are merged
-POLE_WEIGHT_FLOOR = 1e-22
 
 _BETWEEN = "between-poles"
 _BELOW = "below-ground"
@@ -103,7 +100,8 @@ class EigenfunctionRep:
 
 
 def _pole_mask(evaluator: GreensEvaluator) -> np.ndarray:
-    """True for modes that carry a resolvable pole at some scatterer."""
+    """True for modes that carry a resolvable pole at some scatterer; the
+    gaps of the others are merged."""
     phi_sq = evaluator.phi_values ** 2
     floor = POLE_WEIGHT_FLOOR * 4.0 / evaluator.billiard.area
     return phi_sq.max(axis=1) > floor

@@ -290,8 +290,9 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
     there next to the logarithmic law they are predicted to follow.
 
     Gaps whose probes do not bracket a zero (a mode with no weight at the
-    scatterer) or leave no room between them (degenerate levels) are
-    reported in ``skipped`` rather than silently dropped.
+    scatterer, or one below POLE_WEIGHT_FLOOR, which the curvature drops)
+    or leave no room between them (degenerate levels) are reported in
+    ``skipped`` rather than silently dropped.
     """
     if evaluator.scatterers.n != 1:
         raise ValidationError(

@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats as sps
 
 from pointbilliard import ValidationError
 from pointbilliard.basis import BilliardSpec, mode_table_with_count
+from pointbilliard.greens import POLE_WEIGHT_FLOOR
 from pointbilliard.solver import EnergyWindow
 from pointbilliard.stats import (
     coupling_band_range,
@@ -237,11 +238,14 @@ def test_inflection_survey_reports_degenerate_levels():
 
 def independent_curvature(spec, table, point, n_max):
     """Second omega-derivative of diag at one scatterer: the mode sum
-    2 phi^2/(w - e)^3, phi from the sines, plus the tail's -(M/2pi)/(e_cut - w)^2."""
+    2 phi^2/(w - e)^3, phi from the sines, plus the tail's -(M/2pi)/(e_cut - w)^2.
+    Weights below the documented pole weight floor are a node's rounding
+    noise and count as zero, as in the package."""
     mx, my = table.mx[:n_max].astype(float), table.my[:n_max].astype(float)
     e = table.energies[:n_max]
     phi_sq = (4.0 / spec.area) * (np.sin(np.pi * mx * point[0] / spec.lx)
                                   * np.sin(np.pi * my * point[1] / spec.ly)) ** 2
+    phi_sq[phi_sq <= POLE_WEIGHT_FLOOR * 4.0 / spec.area] = 0.0
     e_cut = float(e[-1])
     scale = spec.mass / (2.0 * math.pi)
 
@@ -277,11 +281,14 @@ _FRACTION = st.floats(0.02, 0.98)
 @given(fx=_FRACTION, fy=_FRACTION, nodal=st.booleans(), q=st.integers(2, 12),
        p=st.integers(1, 11), log_eps=st.floats(-9.0, -4.0), above=st.booleans(),
        on_x=st.booleans(), start=st.integers(50, 2400), span=st.integers(30, 60))
+@example(fx=0.5, fy=1 / 3, nodal=False, q=2, p=1, log_eps=-4.0, above=False, on_x=False,
+         start=2370, span=60)
 def test_survey_inflections_match_brentq(golden, big_table, fx, fy, nodal, q, p, log_eps,
                                          above, on_x, start, span):
     # a scatterer eps off the nodal line p/q of one side gives every mode
     # with a multiple of q on that side a tiny weight, so the inflection of
-    # such a gap sits close to the weak pole
+    # such a gap sits close to the weak pole; the example sits on two nodal
+    # lines, where the weight of mode (21, 63) is rounding noise, 1e-28
     if nodal:
         assume(p < q and math.gcd(p, q) == 1)
         frac = p / q + (10.0 ** log_eps if above else -(10.0 ** log_eps))
