@@ -65,7 +65,6 @@ from .stats import (
     coupling_band_range,
     gbar_inflection_survey,
     ks_distance,
-    ks_two_sample,
     predict_strong_coupling,
     reference_cdf,
     spacing_distribution,

@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -494,7 +495,7 @@ def _parse_window(text: str) -> EnergyWindow:
 
 
 def _parse_grid(text: str) -> list:
-    """Either 'start:stop:count' or a comma-separated list of values."""
+    """Either 'start:stop:count' or a comma-separated list of finite values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -506,11 +507,16 @@ def _parse_grid(text: str) -> list:
             raise ValidationError(f"bad --grid {text!r}") from exc
         if count < 1:
             raise ValidationError(f"--grid count must be >= 1, got {count}")
-        return [float(v) for v in np.linspace(start, stop, count)]
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"bad --grid {text!r}") from exc
+        with np.errstate(all="ignore"):  # a non-finite bound is reported below
+            values = [float(v) for v in np.linspace(start, stop, count)]
+    else:
+        try:
+            values = [float(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise ValidationError(f"bad --grid {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"--grid values must be finite, got {text!r}")
+    return values
 
 
 def read_levels(path: str) -> np.ndarray:

@@ -22,6 +22,12 @@ Truncation handling:
   fixed per-mode weight profile (1 deep in the table, tapering to 0 at the
   cutoff), so evaluation stays a single dot product and the weights are
   shared by every omega.
+
+Every series is one kernel pass, GreensEvaluator._sums, giving omega-derivatives
+of chosen orders.  diag, diag_derivative, offdiag, secular_matrix and the two
+_batch forms first reject a non-finite omega or one inside the pole exclusion
+band; the unchecked diag_orders and secular_orders serve the root finders,
+whose probes come within a few ulps of a pole.
 """
 
 from __future__ import annotations
@@ -153,6 +159,8 @@ class GreensEvaluator:
         self.cutoff_energy = float(self.energies[-1])
         self.mean_spacing = billiard.mean_spacing
         self.pole_exclusion = POLE_EXCLUSION_FACTOR * self.mean_spacing
+        # a mode weight phi^2 at or below this is a node's rounding noise, no pole
+        self.pole_weight_floor = POLE_WEIGHT_FLOOR * 4.0 / billiard.area
         self.lam = scatterers.lambda_scale
 
         # phi[n, i] = eigenfunction n at scatterer i; shared by every series.
@@ -181,20 +189,19 @@ class GreensEvaluator:
         """Eigenfunction values at the scatterers, shape (n_eff, N)."""
         return self._phi
 
-    def _block_cover(self, m: int) -> np.ndarray:
-        """Share of each mode inside the m-th one-spacing window below the cutoff."""
-        width = self.mean_spacing
-        hi = self.cutoff_energy - m * width
-        lo = hi - width
-        return np.clip(hi - np.maximum(lo, self.energies), 0.0, width) / width
-
     def _build_block_weights(self):
-        """Per-mode weights realising the 3-block partial-sum average."""
+        """Per-mode weights realising the 3-block partial-sum average: each mode's
+        mean share of the last three one-spacing windows below the cutoff."""
         if not self.accuracy.offdiag_block_average:
             return None
-        if self.energies[0] > self.cutoff_energy - 3.0 * self.mean_spacing:
+        width = self.mean_spacing
+        if self.energies[0] > self.cutoff_energy - 3.0 * width:
             return None  # table too short to average; plain sums instead
-        return (self._block_cover(0) + self._block_cover(1) + self._block_cover(2)) / 3.0
+        covers = []
+        for m in range(3):
+            hi = self.cutoff_energy - m * width
+            covers.append(np.clip(hi - np.maximum(hi - width, self.energies), 0.0, width) / width)
+        return (covers[0] + covers[1] + covers[2]) / 3.0
 
     def _build_weight_matrix(self):
         """One contiguous column per upper-triangle entry of the secular matrix.
@@ -218,45 +225,34 @@ class GreensEvaluator:
         """Weight column of secular-matrix entry (i, j)."""
         return self._weights[:, self._column[i, j]]
 
-    def _series(self, omega, weights, derivative: bool = False, partial: bool = False):
-        """sum_n w[n] / (omega - e_n) for each per-mode weight vector w.
+    def _sums(self, omega, weights, first: int = 0, count: int = 1):
+        """Order-k omega-derivatives of sum_n w[n] / (omega - e_n) for each
+        per-mode weight vector w, one list per order k = first .. first+count-1.
 
-        derivative squares the kernel (the sign is the caller's); partial
-        gives running sums over the modes.  One 1-D dot per vector, never a
-        matrix product, so no entry depends on which others come with it.
+        The kernel powers 1/(omega - e_n)^(k+1) are products taken in place
+        (pow() is 100x slower on these kernels), copied off the kernel only
+        when a power above 2 is needed; each sum is one 1-D dot, never a
+        matrix product, so no entry depends on which others come with it,
+        and the factor (-1)^k k! multiplies the dot.
         """
         kern = 1.0 / (omega - self.energies)
-        if derivative:
-            kern = kern * kern
-        if partial:
-            return [np.cumsum(w * kern) for w in weights]
-        return [w @ kern for w in weights]
-
-    def _series_and_slope(self, omega, weights, power: int = 1):
-        """Sums of w[n] k^power and w[n] k^(power + 1), k = 1/(omega - e_n).
-
-        The power is dotted, multiplied by k in place and dotted again; at
-        power 1 both lists are bit-identical to _series and its
-        derivative=True twin.
-        """
-        kern = 1.0 / (omega - self.energies)
-        term = kern.copy() if power > 1 else kern
-        for _ in range(power - 1):  # products: pow() is 100x slower on these kernels
-            term *= kern
-        values = [w @ term for w in weights]
-        np.multiply(term, kern, out=term)
-        return values, [w @ term for w in weights]
+        term = kern.copy() if first + count > 2 else kern
+        out = []
+        for order in range(first + count):
+            if order:
+                term *= kern
+            if order == 0 and first == 0:
+                out.append([w @ term for w in weights])
+            elif order >= first:
+                scale = (-1) ** order * math.factorial(order)
+                out.append([scale * (w @ term) for w in weights])
+        return out
 
     def nearest_level(self, omega: float):
         """(distance, 0-based index) of the closest unperturbed level."""
         pos = int(np.searchsorted(self.energies, omega))
-        best = None
-        for k in (pos - 1, pos):
-            if 0 <= k < self.n_eff:
-                d = abs(omega - self.energies[k])
-                if best is None or d < best[0]:
-                    best = (d, k)
-        return best
+        return min((abs(omega - self.energies[k]), k) for k in (pos - 1, pos)
+                   if 0 <= k < self.n_eff)
 
     def check_pole_distance(self, omega):
         """Reject non-finite real evaluation points and those inside the pole
@@ -276,10 +272,14 @@ class GreensEvaluator:
 
     # -- diagonal (renormalised) series ----------------------------------
 
-    def _log_tail(self, omega):
-        """Mean-field integral over the modes above the cutoff."""
+    def _tail(self, omega, order: int = 0):
+        """Order-th omega-derivative of the mean-field integral over the modes
+        above the cutoff: (mass/2pi) log((e_cut - omega)/sqrt(e_cut^2 + lam^2)),
+        then -(mass/2pi) (order-1)!/(e_cut - omega)^order."""
         ec = self.cutoff_energy
         scale = self.billiard.mass / (2.0 * math.pi)
+        if order:
+            return -scale * math.factorial(order - 1) / (ec - omega) ** order
         half_log = 0.5 * math.log(ec * ec + self.lam * self.lam)
         if _is_complex(omega):
             return scale * (np.log(ec - omega) - half_log)
@@ -288,18 +288,50 @@ class GreensEvaluator:
                 f"omega={omega!r} is not below the series cutoff {ec:g}")
         return scale * (math.log(ec - omega) - half_log)
 
-    def tail_correction(self, omega):
-        """Integral tail added to the diagonal series (0 when disabled)."""
+    def tail_correction(self, omega, order: int = 0):
+        """Integral tail added to the diagonal series, or its order-th
+        derivative (0 when disabled)."""
         if self.accuracy.tail_mode != "integral":
             return 0.0
-        return self._log_tail(omega)
+        return self._tail(omega, order)
 
-    def diag(self, i: int, omega, check_pole: bool = True):
+    def diag_orders(self, i: int, omega, first: int = 0, count: int = 1) -> list:
+        """Omega-derivatives of diag(i, omega) of orders first .. first+count-1,
+        from one kernel and without the pole check."""
+        out = []
+        for order, (value,) in enumerate(self._sums(omega, [self._entry(i, i)], first, count),
+                                         first):
+            if order == 0:
+                value = value + self._counterterm[i]
+            out.append(value + self.tail_correction(omega, order))
+        return out
+
+    def diag(self, i: int, omega):
         """Renormalised diagonal Green function at scatterer i."""
-        if check_pole:
-            self.check_pole_distance(omega)
-        value = self._series(omega, [self._entry(i, i)])[0]
-        return value + self._counterterm[i] + self.tail_correction(omega)
+        self.check_pole_distance(omega)
+        return self.diag_orders(i, omega)[0]
+
+    def diag_derivative(self, i: int, omega):
+        """d/domega of the renormalised diagonal series (always negative)."""
+        self.check_pole_distance(omega)
+        return self.diag_orders(i, omega, 1)[0]
+
+    def diag_curvature_and_derivative(self, i: int, omega):
+        """Second and third derivatives of diag at scatterer i from one kernel (no
+        pole check): 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
+        plus the tail's, the third negative everywhere.
+
+        Weights at or below pole_weight_floor count as zero here: the cubic
+        kernel lets such a noise weight plant a spurious zero of the curvature
+        some 1e-8 from its level, outside the pole exclusion band.
+        """
+        weights = self._resolvable_diag.get(i)
+        if weights is None:
+            weights = self._entry(i, i)
+            weights = self._resolvable_diag.setdefault(
+                i, np.where(weights > self.pole_weight_floor, weights, 0.0))
+        (curv,), (third,) = self._sums(omega, [weights], 2, 2)
+        return curv + self.tail_correction(omega, 2), third + self.tail_correction(omega, 3)
 
     def counterterm(self, i: int) -> float:
         """The subtraction constant sum phi^2 * eps/(eps^2+lam^2) at scatterer i."""
@@ -326,55 +358,8 @@ class GreensEvaluator:
         top_term = (4.0 / self.billiard.area) * (w * ec + lam2) / ((ec - w) * (ec * ec + lam2))
         err = 8.0 * top_term
         if self.accuracy.tail_mode == "none":
-            err += abs(self._log_tail(w))
+            err += abs(self._tail(w))
         return err
-
-    def diag_derivative(self, i: int, omega, check_pole: bool = True):
-        """d/domega of the renormalised diagonal series (always negative)."""
-        if check_pole:
-            self.check_pole_distance(omega)
-        value = -self._series(omega, [self._entry(i, i)], derivative=True)[0]
-        return value + self._tail_derivative(omega)
-
-    def diag_and_derivative(self, i: int, omega, check_pole: bool = True):
-        """(diag, diag_derivative) at scatterer i from one kernel, bit-identical to both."""
-        if check_pole:
-            self.check_pole_distance(omega)
-        (value,), (slope,) = self._series_and_slope(omega, [self._entry(i, i)])
-        return (value + self._counterterm[i] + self.tail_correction(omega),
-                -slope + self._tail_derivative(omega))
-
-    def diag_curvature_and_derivative(self, i: int, omega):
-        """Second and third derivatives of diag at scatterer i from one kernel (no
-        pole check): 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
-        plus the tail's, the third negative everywhere.
-
-        Weights below POLE_WEIGHT_FLOOR count as zero here: the cubic kernel
-        lets such a noise weight plant a spurious zero of the curvature some
-        1e-8 from its level, outside the pole exclusion band.
-        """
-        weights = self._resolvable_diag.get(i)
-        if weights is None:
-            weights = self._entry(i, i)
-            floor = POLE_WEIGHT_FLOOR * 4.0 / self.billiard.area
-            weights = self._resolvable_diag.setdefault(i, np.where(weights > floor, weights, 0.0))
-        (curv,), (third,) = self._series_and_slope(omega, [weights], power=3)
-        return (2.0 * curv + self._tail_derivative(omega, 2),
-                -6.0 * third + self._tail_derivative(omega, 3))
-
-    def _tail_derivative(self, omega, order: int = 1):
-        """d^order/domega^order of tail_correction, -(mass/2pi) (order-1)!/(e_cut - omega)^order."""
-        if self.accuracy.tail_mode != "integral":
-            return 0.0
-        return (-self.billiard.mass / (2.0 * math.pi) * math.factorial(order - 1)
-                / (self.cutoff_energy - omega) ** order)
-
-    def derivative_error(self, omega) -> float:
-        """Remainder bound for diag_derivative (series decays like 1/n^2)."""
-        gap = self.cutoff_energy - abs(omega)
-        if gap <= 0.0:
-            return math.inf
-        return self.billiard.mass / (2.0 * math.pi) / gap
 
     def deficiency_norm_sq(self, i: int) -> float:
         """sum phi_n(x_i)^2/(e_n^2 + lam^2), tail-corrected when enabled.
@@ -390,72 +375,51 @@ class GreensEvaluator:
 
     # -- off-diagonal series ----------------------------------------------
 
-    def offdiag(self, i: int, j: int, omega, check_pole: bool = True):
+    def offdiag(self, i: int, j: int, omega):
         """Free Green function between scatterers i and j (i != j)."""
         if i == j:
             raise ValidationError(
                 "off-diagonal series requires distinct scatterer indices; "
                 "the i == j case is the renormalised diagonal diag()")
-        if check_pole:
-            self.check_pole_distance(omega)
-        return self._series(omega, [self._entry(i, j)])[0]
-
-    def offdiag_with_spread(self, i: int, j: int, omega):
-        """(value, spread of the last three block averages)."""
-        value = self.offdiag(i, j, omega)
-        p = self._phi[:, i] * self._phi[:, j]
-        if self._block_weights is None:
-            return value, 3.0 * abs(p[-1] * (1.0 / (omega - self.cutoff_energy)))
-        blocks = self._series(omega, [p * self._block_cover(m) for m in range(3)])
-        spread = max(abs(a - b) for a in blocks for b in blocks)
-        return value, spread
+        self.check_pole_distance(omega)
+        return self._sums(omega, [self._entry(i, j)])[0][0]
 
     # -- secular matrix ----------------------------------------------------
 
-    def secular_matrix(self, omega, check_pole: bool = True) -> np.ndarray:
+    def secular_orders(self, omega, first: int = 0, count: int = 1) -> list:
+        """Omega-derivatives of the secular matrix of orders first .. first+count-1,
+        from one kernel and without the pole check.  Order 0 is diag_i - inv_i on
+        the diagonal and the free Green function off it; every higher order is
+        symmetric, and order 1 is negative definite at real omega."""
+        diagonal = np.diag_indices(self.n)
+        mats = []
+        for order, values in enumerate(self._sums(omega, self._weights.T, first, count), first):
+            out = np.array(values)[self._column]
+            # one term at a time, in diag()'s order, so the diagonal is diag() - inv exactly
+            if order == 0:
+                out[diagonal] += self._counterterm
+            out[diagonal] += self.tail_correction(omega, order)
+            if order == 0:
+                out[diagonal] -= self.scatterers.inv_couplings
+            mats.append(out)
+        return mats
+
+    def secular_matrix(self, omega) -> np.ndarray:
         """Inverse T-matrix: diagonal diag_i - inv_coupling_i, off-diagonal
         the free Green function between scatterers."""
-        if check_pole:
-            self.check_pole_distance(omega)
-        return self._secular_from(omega, self._series(omega, self._weights.T))
+        self.check_pole_distance(omega)
+        return self.secular_orders(omega)[0]
 
-    def secular_matrix_derivative(self, omega) -> np.ndarray:
-        """d/domega of secular_matrix at real omega (negative definite; no pole check)."""
-        return self._secular_slope_from(
-            omega, self._series(omega, self._weights.T, derivative=True))
-
-    def secular_matrix_and_derivative(self, omega):
-        """(secular_matrix, secular_matrix_derivative) from one kernel, bit-identical
-        to both (no pole check)."""
-        values, slopes = self._series_and_slope(omega, self._weights.T)
-        return self._secular_from(omega, values), self._secular_slope_from(omega, slopes)
-
-    def _secular_from(self, omega, values) -> np.ndarray:
-        """Secular matrix from the upper-triangle series values."""
-        out = np.array(values)[self._column]
-        # one term at a time, in diag()'s order, so the diagonal is diag() - inv exactly
-        diagonal = np.diag_indices(self.n)
-        out[diagonal] += self._counterterm
-        out[diagonal] += self.tail_correction(omega)
-        out[diagonal] -= self.scatterers.inv_couplings
-        return out
-
-    def _secular_slope_from(self, omega, slopes) -> np.ndarray:
-        """Derivative of the secular matrix from the upper-triangle squared-kernel sums."""
-        out = -np.array(slopes)[self._column]
-        out[np.diag_indices(self.n)] += self._tail_derivative(omega)
-        return out
-
-    def secular_matrix_batch(self, omegas, check_pole: bool = True) -> np.ndarray:
+    def secular_matrix_batch(self, omegas) -> np.ndarray:
         """Stacked secular matrices for a vector of real omegas."""
         omegas = np.asarray(omegas, dtype=float)
-        mats = [self.secular_matrix(float(w), check_pole) for w in omegas.ravel()]
+        mats = [self.secular_matrix(float(w)) for w in omegas.ravel()]
         return np.array(mats).reshape(omegas.shape + (self.n, self.n))
 
-    def diag_batch(self, i: int, omegas, check_pole: bool = True) -> np.ndarray:
+    def diag_batch(self, i: int, omegas) -> np.ndarray:
         """diag(i, omega) for a vector of real omegas."""
         omegas = np.asarray(omegas, dtype=float)
-        values = [self.diag(i, float(w), check_pole) for w in omegas.ravel()]
+        values = [self.diag(i, float(w)) for w in omegas.ravel()]
         return np.array(values).reshape(omegas.shape)
 
     # -- divergence witnesses ----------------------------------------------
@@ -473,5 +437,5 @@ class GreensEvaluator:
             if not 1 <= k <= self.n_eff:
                 raise ValidationError(
                     f"truncation {k} outside the table (1..{self.n_eff})")
-        csum = self._series(omega, [self._entry(i, i)], partial=True)[0]
+        csum = np.cumsum(self._entry(i, i) * (1.0 / (omega - self.energies)))
         return [float(csum[k - 1]) for k in counts]

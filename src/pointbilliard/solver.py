@@ -33,7 +33,7 @@ from .errors import (
     RootBracketError,
     ValidationError,
 )
-from .greens import POLE_WEIGHT_FLOOR, GreensEvaluator
+from .greens import GreensEvaluator
 
 DEFAULT_ROOT_TOL = 1e-9
 
@@ -102,9 +102,7 @@ class EigenfunctionRep:
 def _pole_mask(evaluator: GreensEvaluator) -> np.ndarray:
     """True for modes that carry a resolvable pole at some scatterer; the
     gaps of the others are merged."""
-    phi_sq = evaluator.phi_values ** 2
-    floor = POLE_WEIGHT_FLOOR * 4.0 / evaluator.billiard.area
-    return phi_sq.max(axis=1) > floor
+    return (evaluator.phi_values ** 2).max(axis=1) > evaluator.pole_weight_floor
 
 
 def _gaps(evaluator: GreensEvaluator, window: EnergyWindow) -> Iterator[tuple[float, float]]:
@@ -222,32 +220,32 @@ def _secular_curves(evaluator: GreensEvaluator):
 
     eigenvalues(w) returns the sorted eigenvalues of M(w) and M(w) itself;
     curve(t) returns w -> (sorted eigenvalue t of M(w), its slope), with M
-    and M' summed from one kernel. For one scatterer M is the scalar
-    diag - inv with slope diag_derivative, summed directly: going through
-    secular_matrix and eigh costs about a quarter of the one-scatterer CLI
-    throughput. Otherwise the slope is the Hellmann-Feynman v^T M' v of
-    eigenvector v.
+    and M' summed from one kernel, without the pole check: probes come
+    within 4 ulps of a pole. For one scatterer M is the scalar diag - inv
+    with slope diag', summed by diag_orders: going through secular_orders
+    and eigh costs about a quarter of the one-scatterer CLI throughput.
+    Otherwise the slope is the Hellmann-Feynman v^T M' v of eigenvector v.
     """
     if evaluator.n == 1:
         inv = float(evaluator.scatterers.inv_couplings[0])
 
         def scalar(w: float):
-            m = np.array([[evaluator.diag(0, w, check_pole=False) - inv]])
+            m = np.array([[evaluator.diag_orders(0, w)[0] - inv]])
             return m[0], m
 
         def f_and_slope(w: float):
-            value, slope = evaluator.diag_and_derivative(0, w, check_pole=False)
+            value, slope = evaluator.diag_orders(0, w, 0, 2)
             return float(value - inv), float(slope)
 
         return scalar, lambda t: f_and_slope
 
     def eigenvalues(w: float):
-        m = evaluator.secular_matrix(w, check_pole=False)
+        m = evaluator.secular_orders(w)[0]
         return np.linalg.eigvalsh(m), m
 
     def curve(t: int):
         def value_and_slope(w: float):
-            m, m_slope = evaluator.secular_matrix_and_derivative(w)
+            m, m_slope = evaluator.secular_orders(w, 0, 2)
             vals, vecs = np.linalg.eigh(m)
             v = vecs[:, t]
             return float(vals[t]), float(v @ m_slope @ v)
@@ -286,11 +284,11 @@ def _pole_probe(evaluator: GreensEvaluator, eigenvalues, pole: float, start: flo
                 e = evaluator.energies
                 rows = evaluator.phi_values[np.searchsorted(e, pole):np.searchsorted(e, pole, "right")]
                 _, sv, vt = np.linalg.svd(rows)
-                rank = int(np.sum(sv ** 2 > POLE_WEIGHT_FLOOR * 4.0 / evaluator.billiard.area))
+                rank = int(np.sum(sv ** 2 > evaluator.pole_weight_floor))
                 q = vt[rank:].T
             at_pole = rank if sign < 0.0 else 0
             if q.size:
-                regular = q.T @ (m + (pole - x) * evaluator.secular_matrix_derivative(x)) @ q
+                regular = q.T @ (m + (pole - x) * evaluator.secular_orders(x, 1)[0]) @ q
                 at_pole += int(np.sum(np.linalg.eigvalsh(regular) < 0.0))
             missing = int(sign * (count - at_pole))
         if not missing or d <= floor:

@@ -34,7 +34,6 @@ __all__ = [
     "spacing_distribution",
     "reference_cdf",
     "ks_distance",
-    "ks_two_sample",
     "predict_strong_coupling",
     "coupling_band_range",
     "gbar_inflection_survey",
@@ -129,13 +128,6 @@ class InflectionSurvey:
         """Dimensionless slope |dGbar/dw| per mean level spacing."""
         return np.array([r.abs_slope * self.mean_spacing for r in self.rows])
 
-    def midpoint_offsets(self) -> np.ndarray:
-        """|inflection - gap midpoint| as a fraction of the gap width."""
-        return np.array([
-            abs(r.omega - 0.5 * (r.gap_lo + r.gap_hi)) / (r.gap_hi - r.gap_lo)
-            for r in self.rows
-        ])
-
 
 def unfold(levels, billiard: BilliardSpec) -> UnfoldedSpectrum:
     """Map a sorted level sequence to unit mean spacing.
@@ -227,18 +219,6 @@ def ks_distance(spacings, reference) -> float:
     return max(d_plus, d_minus)
 
 
-def ks_two_sample(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
-        raise ValidationError("both samples must be nonempty")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
 def predict_strong_coupling(scatterers: ScattererSet, billiard: BilliardSpec,
                             omega: float) -> CouplingPrediction:
     """Locate each scatterer relative to the strong-coupling band at ``omega``.
@@ -290,7 +270,7 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
     there next to the logarithmic law they are predicted to follow.
 
     Gaps whose probes do not bracket a zero (a mode with no weight at the
-    scatterer, or one below POLE_WEIGHT_FLOOR, which the curvature drops)
+    scatterer, or one below the pole weight floor, which the curvature drops)
     or leave no room between them (degenerate levels) are reported in
     ``skipped`` rather than silently dropped.
     """
@@ -331,7 +311,7 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
                 f"gap [{a:.9g}, {b:.9g}] shows no curvature sign change")
             continue
         omega = float(_hybrid_root(curvature, a, b, lo, f_lo, hi, f_hi, DEFAULT_ROOT_TOL)[0])
-        gbar, slope = evaluator.diag_and_derivative(0, omega, check_pole=False)
+        gbar, slope = evaluator.diag_orders(0, omega, 0, 2)
         gbar, slope = float(gbar), abs(float(slope))
         log_ref = m / (2.0 * math.pi) * math.log(omega / lam)
         rows.append(InflectionRow(omega=omega, gbar=gbar,

@@ -146,6 +146,15 @@ def test_tol_flag_must_be_finite_and_positive(tmp_path, level_energy, capsys, to
     assert "--tol must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["nan", "0.1,inf", "-inf,0.5", "0:nan:2"])
+def test_grid_flag_values_must_be_finite(tmp_path, level_energy, capsys, grid):
+    # a non-finite coupling reached the envelope as NaN or Infinity, not JSON
+    cfg = write_config(tmp_path, window=(level_energy(200), level_energy(240)))
+    rc = cli.main(["sweep", "--config", cfg, f"--grid={grid}"])
+    assert rc == 2
+    assert "--grid values must be finite" in capsys.readouterr().err
+
+
 _NUMBER_KEYS = [("billiard", "lx"), ("billiard", "ly"), ("billiard", "mass"),
                 ("scatterers", "lambda_scale"), ("window", "lo"), ("window", "hi"),
                 (None, "tol")]

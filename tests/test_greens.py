@@ -108,17 +108,7 @@ def test_diag_curvature_matches_mode_sums_and_differences(golden, generic_point,
         fd = (ev.diag_derivative(0, up) - ev.diag_derivative(0, down)) / (up - down)
         assert curv == pytest.approx(fd, rel=1e-6)
         # the slope's tail term is the order-1 case, bit for bit its old closed form
-        assert ev._tail_derivative(omega) == -scale / gap
-
-
-def test_derivative_error_bounds_truncation(golden, generic_point, big_table):
-    small = make_evaluator(golden, big_table, [generic_point], [0.3],
-                           n_max=25_000)
-    big = make_evaluator(golden, big_table, [generic_point], [0.3],
-                         n_max=100_000)
-    omega = gap_midpoint(small, 300)
-    actual = abs(small.diag_derivative(0, omega) - big.diag_derivative(0, omega))
-    assert actual <= small.derivative_error(omega)
+        assert ev.tail_correction(omega, 1) == -scale / gap
 
 
 def test_diag_at_imaginary_scale_equals_deficiency(ev1):
@@ -132,18 +122,10 @@ def test_diag_at_imaginary_scale_equals_deficiency(ev1):
     assert conj == pytest.approx(np.conj(value), rel=1e-14)
 
 
-def test_offdiag_symmetric_and_spread_covers_blocks(ev2):
+def test_offdiag_is_symmetric(ev2):
     omega = gap_midpoint(ev2, 350)
     assert ev2.offdiag(0, 1, omega) == pytest.approx(
         ev2.offdiag(1, 0, omega), rel=1e-14)
-    value, spread = ev2.offdiag_with_spread(0, 1, omega)
-    assert value == pytest.approx(ev2.offdiag(0, 1, omega), rel=1e-14)
-    assert spread >= 0.0
-    # raw (unaveraged) sum stays within a few spreads of the blocked value
-    raw = make_evaluator(ev2.billiard, ev2.table, ev2.scatterers.positions,
-                         ev2.scatterers.inv_couplings, n_max=3000,
-                         offdiag_block_average=False)
-    assert abs(raw.offdiag(0, 1, omega) - value) <= 6.0 * spread + 1e-9
 
 
 def test_offdiag_weights_structure(ev2):
@@ -183,12 +165,30 @@ def test_diag_batch_equals_scalar_loop(ev1):
         assert batch[b] == pytest.approx(ev1.diag(0, float(w)), rel=1e-14)
 
 
-def test_pole_exclusion_raises(ev1):
-    pole = float(ev1.energies[123])
-    with pytest.raises(PoleProximityError):
-        ev1.diag(0, pole + 0.1 * ev1.pole_exclusion)
+def _checked_calls(ev, omega):
+    """Every checked public series entry point at omega, on a 2-scatterer evaluator."""
+    return (
+        lambda: ev.diag(0, omega),
+        lambda: ev.diag_derivative(1, omega),
+        lambda: ev.offdiag(0, 1, omega),
+        lambda: ev.secular_matrix(omega),
+        lambda: ev.diag_batch(0, [omega]),
+        lambda: ev.secular_matrix_batch([omega]),
+    )
+
+
+def test_pole_exclusion_raises(ev2):
+    pole = float(ev2.energies[123])
+    inside = pole + 0.1 * ev2.pole_exclusion
+    for call in _checked_calls(ev2, inside):
+        with pytest.raises(PoleProximityError):
+            call()
     # just outside the exclusion zone is fine
-    ev1.diag(0, pole + 10.0 * ev1.pole_exclusion)
+    for call in _checked_calls(ev2, pole + 10.0 * ev2.pole_exclusion):
+        assert np.all(np.isfinite(call()))
+    # the unchecked entry points of the root finders sum inside the band
+    assert all(map(np.isfinite, ev2.diag_orders(0, inside, 0, 2)))
+    assert all(np.all(np.isfinite(m)) for m in ev2.secular_orders(inside, 0, 2))
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
@@ -196,9 +196,7 @@ def test_non_finite_energy_is_rejected(ev2, omega):
     # nan sits at no distance from any pole, so the pole gate let it through
     # and every entry point returned nan (inf for diag at -inf)
     calls = (
-        lambda: ev2.diag(0, omega),
-        lambda: ev2.offdiag(0, 1, omega),
-        lambda: ev2.secular_matrix(omega),
+        *_checked_calls(ev2, omega),
         lambda: decompose(ev2, omega),
         lambda: reduce_full(ev2, omega),
     )
@@ -320,17 +318,17 @@ def test_secular_matrix_core_properties(golden, big_table, data):
     # derivative: symmetric, diagonal = diag_derivative, negative definite,
     # and the slope of secular_matrix by a central difference well inside
     # the distance to the nearest pole
-    d = ev.secular_matrix_derivative(omega)
+    (d,) = ev.secular_orders(omega, 1)
     assert np.array_equal(d, d.T)
     for i in range(n):
         assert d[i, i] == ev.diag_derivative(i, omega)
     assert np.all(np.linalg.eigvalsh(d) < 0.0)
-    # the fused calls sum both from one kernel, bit for bit the same
-    m_fused, d_fused = ev.secular_matrix_and_derivative(omega)
+    # both orders from one kernel, bit for bit the checked single-order calls
+    m_fused, d_fused = ev.secular_orders(omega, 0, 2)
     assert np.array_equal(m_fused, m) and np.array_equal(d_fused, d)
     for i in range(n):
-        assert ev.diag_and_derivative(i, omega) == (ev.diag(i, omega),
-                                                    ev.diag_derivative(i, omega))
+        assert ev.diag_orders(i, omega, 0, 2) == [ev.diag(i, omega),
+                                                  ev.diag_derivative(i, omega)]
     h = 1e-4 * ev.nearest_level(omega)[0]
     # divide by the step actually taken: omega +- h rounds to the grid of
     # omega, which is coarse against h when omega sits close to a level

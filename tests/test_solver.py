@@ -294,7 +294,7 @@ def test_solve_multi_counts_roots_through_degeneracies(big_table, square_table, 
     roots = np.array([lv.omega for lv in levels])
 
     def negative_count(w):
-        m = ev.secular_matrix(float(w), check_pole=False)
+        (m,) = ev.secular_orders(float(w))
         return int(np.sum(np.linalg.eigvalsh(m) < 0.0))
 
     placed = 0
@@ -453,20 +453,22 @@ def test_single_scatterer_levels_cost_few_series_sums(golden, generic_point, big
                                                       monkeypatch):
     # every call below is one O(n_eff) pass over the 100k-mode kernel: the two
     # end probes of a gap sum diag, each step sums value and slope together
-    counts = dict.fromkeys(("diag", "diag_derivative", "diag_and_derivative",
-                            "secular_matrix", "secular_matrix_and_derivative"), 0)
-    for name in counts:
+    # (a fused call, two orders); the checked entry points go through these two
+    counts = {("diag_orders", 1): 0, ("diag_orders", 2): 0,
+              ("secular_orders", 1): 0, ("secular_orders", 2): 0}
+    for name in ("diag_orders", "secular_orders"):
         method = getattr(GreensEvaluator, name)
 
         def counted(*args, _method=method, _name=name, **kwargs):
-            counts[_name] += 1
-            return _method(*args, **kwargs)
+            result = _method(*args, **kwargs)
+            counts[_name, len(result)] += 1
+            return result
 
         monkeypatch.setattr(GreensEvaluator, name, counted)
     ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=100_000)
     levels = solve_single(ev, window_over_levels(ev, 30_000, 30_120))
     assert len(levels) == 120
-    assert counts["diag_and_derivative"] / len(levels) <= 6.0
+    assert counts["diag_orders", 2] / len(levels) <= 6.0
     assert sum(counts.values()) / len(levels) <= 8.0
 
 
