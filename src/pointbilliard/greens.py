@@ -23,11 +23,24 @@ Truncation handling:
   cutoff), so evaluation stays a single dot product and the weights are
   shared by every omega.
 
-Every series is one kernel pass, GreensEvaluator._sums, giving omega-derivatives
-of chosen orders.  diag, diag_derivative, offdiag, secular_matrix and the two
-_batch forms first reject a non-finite omega or one inside the pole exclusion
-band; the unchecked diag_orders and secular_orders serve the root finders,
-whose probes come within a few ulps of a pole.
+Every series is a pass of one kernel, _sums, giving omega-derivatives of chosen
+orders over a slice of the modes.  diag, diag_derivative, offdiag,
+secular_matrix and the two _batch forms first reject a non-finite omega or one
+inside the pole exclusion band; the unchecked diag_orders, secular_orders and
+diag_curvature_and_derivative serve the root finders, whose probes come within
+a few ulps of a pole.
+
+Near/far split (GreensEvaluator.local): over a block [lo, hi] of gaps the
+series splits at the modes in [lo, hi] plus LOCAL_NEIGHBOURS on each side.
+The near part is summed exactly, by _sums on that short slice.  The far part
+has no pole within dist of the block, so it is smooth there and a Chebyshev
+interpolant at LOCAL_NODES = P nodes stands in for it, one per weight column
+and order k, from P node passes over the far modes.  The interpolation error
+is at most (hi-lo)^P / 2^(2P-1) * (P+k)!/P! * sum_far |w| / dist^(P+k+1), the
+Chebyshev remainder with |d^m/domega^m far| <= m! sum_far |w| / dist^(m+1).
+When that bound exceeds 1% of diag_error at the block midpoint (a block far
+wider than dist, such as one reaching far below the first pole), or no mode is
+far, local returns the evaluator itself and the block keeps the direct sums.
 """
 
 from __future__ import annotations
@@ -49,6 +62,12 @@ POLE_EXCLUSION_FACTOR = 1e-9
 # uniform value 4/area) contribute no resolvable pole: such a weight is the
 # rounding noise of a node (about (m eps)^2 for mode number m), not a pole
 POLE_WEIGHT_FLOOR = 1e-22
+# near/far split of GreensEvaluator.local: modes summed exactly on each side of
+# the block, Chebyshev nodes of the far part, and the far-part error allowed,
+# relative to diag_error at the block midpoint
+LOCAL_NEIGHBOURS = 80
+LOCAL_NODES = 16
+LOCAL_ERROR_SHARE = 0.01
 
 
 @dataclass(frozen=True)
@@ -129,7 +148,93 @@ def _is_complex(omega) -> bool:
     return isinstance(omega, complex) or np.iscomplexobj(omega)
 
 
-class GreensEvaluator:
+def _sums(omega, energies, weights, first: int = 0, count: int = 1):
+    """Order-k omega-derivatives of sum_n w[n] / (omega - e_n) over the given
+    energies for each weight vector w aligned with them, one list per order
+    k = first .. first+count-1.
+
+    The kernel powers 1/(omega - e_n)^(k+1) are products taken elementwise
+    (pow() is 100x slower on these kernels), in place where no dot needs the
+    factor any more, and all of them before the first dot: with several BLAS
+    threads a dot spreads the kernel over the cores, and an elementwise step
+    after it pays to gather it back.  Each sum is one 1-D dot, never a matrix
+    product, so no entry depends on which others come with it, and the factor
+    (-1)^k k! multiplies the dot.
+    """
+    kern = 1.0 / (omega - energies)
+    powers, term = [kern] if first == 0 else [], kern
+    for order in range(1, first + count):
+        if first and order == first + count - 1:
+            term = np.multiply(term, kern, out=kern)  # the kernel's last use
+        elif order - 1 < first and term is not kern:
+            term *= kern  # the previous power has no dot of its own
+        else:
+            term = term * kern
+        if order >= first:
+            powers.append(term)
+    out = []
+    for order, term in enumerate(powers, first):
+        if order == 0:
+            out.append([w @ term for w in weights])
+        else:
+            scale = (-1) ** order * math.factorial(order)
+            out.append([scale * (w @ term) for w in weights])
+    return out
+
+
+class _SeriesForms:
+    """The unchecked series methods of GreensEvaluator and of its local views.
+
+    Both sum weight columns through self._series(omega, columns, first, count),
+    which returns, per order, one sum per listed column: columns index the
+    upper-triangle entries of the secular matrix (self._column), followed by
+    the floor-zeroed diagonal columns of the curvature (self._curvature_column).
+    """
+
+    def diag_orders(self, i: int, omega, first: int = 0, count: int = 1) -> list:
+        """Omega-derivatives of diag(i, omega) of orders first .. first+count-1,
+        from one kernel and without the pole check."""
+        out = []
+        for order, (value,) in enumerate(self._series(omega, (self._column[i, i],), first, count),
+                                         first):
+            if order == 0:
+                value = value + self._counterterm[i]
+            out.append(value + self.tail_correction(omega, order))
+        return out
+
+    def diag_curvature_and_derivative(self, i: int, omega):
+        """Second and third derivatives of diag at scatterer i from one kernel (no
+        pole check): 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
+        plus the tail's, the third negative everywhere.
+
+        Weights at or below pole_weight_floor count as zero here: the cubic
+        kernel lets such a noise weight plant a spurious zero of the curvature
+        some 1e-8 from its level, outside the pole exclusion band.
+        """
+        (curv,), (third,) = self._series(omega, (self._curvature_column[i],), 2, 2)
+        return curv + self.tail_correction(omega, 2), third + self.tail_correction(omega, 3)
+
+    def secular_orders(self, omega, first: int = 0, count: int = 1) -> list:
+        """Omega-derivatives of the secular matrix of orders first .. first+count-1,
+        from one kernel and without the pole check.  Order 0 is diag_i - inv_i on
+        the diagonal and the free Green function off it; every higher order is
+        symmetric, and order 1 is negative definite at real omega."""
+        diagonal = np.diag_indices(self.n)
+        mats = []
+        for order, values in enumerate(self._series(omega, self._pair_columns, first, count),
+                                       first):
+            out = np.array(values)[self._column]
+            # one term at a time, in diag()'s order, so the diagonal is diag() - inv exactly
+            if order == 0:
+                out[diagonal] += self._counterterm
+            out[diagonal] += self.tail_correction(omega, order)
+            if order == 0:
+                out[diagonal] -= self.scatterers.inv_couplings
+            mats.append(out)
+        return mats
+
+
+class GreensEvaluator(_SeriesForms):
     """Caches per-scatterer basis values and serves all series evaluations.
 
     Construction validates the scatterer geometry against the billiard,
@@ -172,7 +277,10 @@ class GreensEvaluator:
         self._deficiency = (self._phi ** 2 / denom[:, None]).sum(axis=0)
         self._block_weights = self._build_block_weights()
         self._weights, self._column = self._build_weight_matrix()
-        self._resolvable_diag = {}
+        self._pair_columns = range(self._weights.shape[1])
+        self._curvature_column = self._weights.shape[1] + np.arange(self.n)
+        self._columns = tuple(self._weights.T) + tuple(
+            self._resolvable(self._entry(i, i)) for i in range(self.n))
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -225,28 +333,44 @@ class GreensEvaluator:
         """Weight column of secular-matrix entry (i, j)."""
         return self._weights[:, self._column[i, j]]
 
-    def _sums(self, omega, weights, first: int = 0, count: int = 1):
-        """Order-k omega-derivatives of sum_n w[n] / (omega - e_n) for each
-        per-mode weight vector w, one list per order k = first .. first+count-1.
+    def _resolvable(self, weights: np.ndarray) -> np.ndarray:
+        """The diagonal weights with those at or below pole_weight_floor zeroed,
+        the column itself when none is nonzero there."""
+        noise = (weights > 0.0) & (weights <= self.pole_weight_floor)
+        return np.where(noise, 0.0, weights) if noise.any() else weights
 
-        The kernel powers 1/(omega - e_n)^(k+1) are products taken in place
-        (pow() is 100x slower on these kernels), copied off the kernel only
-        when a power above 2 is needed; each sum is one 1-D dot, never a
-        matrix product, so no entry depends on which others come with it,
-        and the factor (-1)^k k! multiplies the dot.
+    def _series(self, omega, columns, first: int = 0, count: int = 1):
+        """_sums of the listed weight columns over every mode."""
+        return _sums(omega, self.energies, [self._columns[c] for c in columns], first, count)
+
+    def local(self, lo: float, hi: float, count: int = 2):
+        """The unchecked series methods for omega in [lo, hi], orders below
+        count, from the near/far split of the module docstring.
+
+        Returns a LocalGreens view, or the evaluator itself when the block
+        is empty, no mode is far, or the far part's error bound exceeds LOCAL_ERROR_SHARE of
+        diag_error at the block midpoint (or that is infinite).  count above
+        2 adds the floor-zeroed curvature columns.  The view is the caller's:
+        nothing is stored on the evaluator.
         """
-        kern = 1.0 / (omega - self.energies)
-        term = kern.copy() if first + count > 2 else kern
-        out = []
-        for order in range(first + count):
-            if order:
-                term *= kern
-            if order == 0 and first == 0:
-                out.append([w @ term for w in weights])
-            elif order >= first:
-                scale = (-1) ** order * math.factorial(order)
-                out.append([scale * (w @ term) for w in weights])
-        return out
+        e = self.energies
+        n0 = max(int(np.searchsorted(e, lo)) - LOCAL_NEIGHBOURS, 0)
+        n1 = min(int(np.searchsorted(e, hi, "right")) + LOCAL_NEIGHBOURS, self.n_eff)
+        if not lo < hi or n0 == 0 and n1 == self.n_eff:
+            return self
+        dist = min(lo - e[n0 - 1] if n0 else math.inf,
+                   e[n1] - hi if n1 < self.n_eff else math.inf)
+        # |phi_i phi_j| <= (phi_i^2 + phi_j^2)/2, so the largest far sum of phi_i^2
+        # bounds sum_far |w| for every column
+        far_weight = max(float(w[:n0].sum() + w[n1:].sum())
+                         for w in (self._entry(i, i) for i in range(self.n)))
+        p = LOCAL_NODES
+        bound = [((hi - lo) / dist) ** p / 2.0 ** (2 * p - 1) * math.perm(p + k, k)
+                 * far_weight / dist ** (k + 1) for k in range(count)]
+        allowed = LOCAL_ERROR_SHARE * self.diag_error(0, 0.5 * (lo + hi))
+        if not (math.isfinite(allowed) and max(bound) <= allowed):
+            return self
+        return LocalGreens(self, lo, hi, n0, n1, count, tuple(bound))
 
     def nearest_level(self, omega: float):
         """(distance, 0-based index) of the closest unperturbed level."""
@@ -295,17 +419,6 @@ class GreensEvaluator:
             return 0.0
         return self._tail(omega, order)
 
-    def diag_orders(self, i: int, omega, first: int = 0, count: int = 1) -> list:
-        """Omega-derivatives of diag(i, omega) of orders first .. first+count-1,
-        from one kernel and without the pole check."""
-        out = []
-        for order, (value,) in enumerate(self._sums(omega, [self._entry(i, i)], first, count),
-                                         first):
-            if order == 0:
-                value = value + self._counterterm[i]
-            out.append(value + self.tail_correction(omega, order))
-        return out
-
     def diag(self, i: int, omega):
         """Renormalised diagonal Green function at scatterer i."""
         self.check_pole_distance(omega)
@@ -315,23 +428,6 @@ class GreensEvaluator:
         """d/domega of the renormalised diagonal series (always negative)."""
         self.check_pole_distance(omega)
         return self.diag_orders(i, omega, 1)[0]
-
-    def diag_curvature_and_derivative(self, i: int, omega):
-        """Second and third derivatives of diag at scatterer i from one kernel (no
-        pole check): 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
-        plus the tail's, the third negative everywhere.
-
-        Weights at or below pole_weight_floor count as zero here: the cubic
-        kernel lets such a noise weight plant a spurious zero of the curvature
-        some 1e-8 from its level, outside the pole exclusion band.
-        """
-        weights = self._resolvable_diag.get(i)
-        if weights is None:
-            weights = self._entry(i, i)
-            weights = self._resolvable_diag.setdefault(
-                i, np.where(weights > self.pole_weight_floor, weights, 0.0))
-        (curv,), (third,) = self._sums(omega, [weights], 2, 2)
-        return curv + self.tail_correction(omega, 2), third + self.tail_correction(omega, 3)
 
     def counterterm(self, i: int) -> float:
         """The subtraction constant sum phi^2 * eps/(eps^2+lam^2) at scatterer i."""
@@ -382,27 +478,9 @@ class GreensEvaluator:
                 "off-diagonal series requires distinct scatterer indices; "
                 "the i == j case is the renormalised diagonal diag()")
         self.check_pole_distance(omega)
-        return self._sums(omega, [self._entry(i, j)])[0][0]
+        return _sums(omega, self.energies, [self._entry(i, j)])[0][0]
 
     # -- secular matrix ----------------------------------------------------
-
-    def secular_orders(self, omega, first: int = 0, count: int = 1) -> list:
-        """Omega-derivatives of the secular matrix of orders first .. first+count-1,
-        from one kernel and without the pole check.  Order 0 is diag_i - inv_i on
-        the diagonal and the free Green function off it; every higher order is
-        symmetric, and order 1 is negative definite at real omega."""
-        diagonal = np.diag_indices(self.n)
-        mats = []
-        for order, values in enumerate(self._sums(omega, self._weights.T, first, count), first):
-            out = np.array(values)[self._column]
-            # one term at a time, in diag()'s order, so the diagonal is diag() - inv exactly
-            if order == 0:
-                out[diagonal] += self._counterterm
-            out[diagonal] += self.tail_correction(omega, order)
-            if order == 0:
-                out[diagonal] -= self.scatterers.inv_couplings
-            mats.append(out)
-        return mats
 
     def secular_matrix(self, omega) -> np.ndarray:
         """Inverse T-matrix: diagonal diag_i - inv_coupling_i, off-diagonal
@@ -439,3 +517,61 @@ class GreensEvaluator:
                     f"truncation {k} outside the table (1..{self.n_eff})")
         csum = np.cumsum(self._entry(i, i) * (1.0 / (omega - self.energies)))
         return [float(csum[k - 1]) for k in counts]
+
+
+class LocalGreens(_SeriesForms):
+    """diag_orders, secular_orders and diag_curvature_and_derivative of an
+    evaluator for omega in [lo, hi], built by GreensEvaluator.local.
+
+    Each series is the near sum, by _sums over modes n0 .. n1-1, plus the far
+    part's Chebyshev interpolant, whose error is at most far_bound[k] at order
+    k.  The far node values come one node at a time from views of the two far
+    slices, e[:n0] and e[n1:], so no weight is copied.  It serves orders below
+    count, and carries the attributes the root finders read off an evaluator.
+    Immutable in practice.
+    """
+
+    def __init__(self, evaluator: GreensEvaluator, lo: float, hi: float, n0: int, n1: int,
+                 count: int, far_bound: tuple):
+        self.n = evaluator.n
+        self.scatterers = evaluator.scatterers
+        self.energies = evaluator.energies
+        self.phi_values = evaluator.phi_values
+        self.pole_weight_floor = evaluator.pole_weight_floor
+        self.tail_correction = evaluator.tail_correction
+        self.far_bound = far_bound
+        self._column = evaluator._column
+        self._pair_columns = evaluator._pair_columns
+        self._curvature_column = evaluator._curvature_column
+        self._counterterm = evaluator._counterterm
+        self._centre, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+        columns = evaluator._columns if count > 2 else evaluator._columns[:len(self._pair_columns)]
+        e = evaluator.energies
+        self._near_energies = e[n0:n1]
+        self._near = [w[n0:n1] for w in evaluator._columns]
+        far = [(e[:n0], [w[:n0] for w in columns]), (e[n1:], [w[n1:] for w in columns])]
+        angles = math.pi * (np.arange(LOCAL_NODES) + 0.5) / LOCAL_NODES
+        values = np.zeros((count, LOCAL_NODES, len(columns)))
+        for j, x in enumerate(self._centre + self._half * np.cos(angles)):
+            for energies, weights in far:
+                if energies.size:
+                    values[:, j] += _sums(float(x), energies, weights, 0, count)
+        # coefficients of the interpolant sum_m c_m T_m(t), t = (omega - centre)/half
+        self._degrees = np.arange(LOCAL_NODES)
+        cosines = np.cos(np.outer(self._degrees, angles)) * (2.0 / LOCAL_NODES)
+        cosines[0] *= 0.5
+        self._coeffs = cosines @ values
+
+    def _series(self, omega, columns, first: int = 0, count: int = 1):
+        """_sums of the listed weight columns: the near slice exactly, the far
+        modes by their interpolants."""
+        columns = list(columns)
+        near = _sums(omega, self._near_energies, [self._near[c] for c in columns], first, count)
+        t = min(max((omega - self._centre) / self._half, -1.0), 1.0)
+        basis = np.cos(self._degrees * math.acos(t))
+        out = []
+        for order, values in enumerate(near, first):
+            far = (basis @ self._coeffs[order])[columns]
+            out.append([v + f for v, f in zip(values, far)])
+        return out

@@ -28,14 +28,15 @@ from typing import Iterator
 import numpy as np
 
 from .basis import basis_column
-from .errors import (
-    PoleProximityError,
-    RootBracketError,
-    ValidationError,
-)
+from .errors import RootBracketError, ValidationError
 from .greens import GreensEvaluator
 
 DEFAULT_ROOT_TOL = 1e-9
+# gaps per near/far block (GreensEvaluator.local); a block whose gap count
+# times N is below LOCAL_MIN_ROOTS keeps the direct sums, since at about six
+# series passes per root it would not repay the view's LOCAL_NODES node passes
+LOCAL_BLOCK_GAPS = 40
+LOCAL_MIN_ROOTS = 4
 
 _BETWEEN = "between-poles"
 _BELOW = "below-ground"
@@ -215,13 +216,24 @@ def _hybrid_root(f_and_slope, a, b, lo: float, f_lo: float, hi: float, f_hi: flo
     raise RootBracketError(f"root iteration did not converge in [{lo}, {hi}]")
 
 
+def _block_series(evaluator: GreensEvaluator, lo: float, hi: float, n_gaps: int,
+                  count: int = 2):
+    """The series source for a block of n_gaps gaps spanning [lo, hi]: the
+    evaluator's near/far view of the block (orders below count), or the
+    evaluator itself when the block is too small to repay the view."""
+    if n_gaps * evaluator.n < LOCAL_MIN_ROOTS:
+        return evaluator
+    return evaluator.local(lo, hi, count)
+
+
 def _secular_curves(evaluator: GreensEvaluator):
     """(eigenvalues, curve): the two evaluations of the secular matrix M.
 
     eigenvalues(w) returns the sorted eigenvalues of M(w) and M(w) itself;
     curve(t) returns w -> (sorted eigenvalue t of M(w), its slope), with M
     and M' summed from one kernel, without the pole check: probes come
-    within 4 ulps of a pole. For one scatterer M is the scalar diag - inv
+    within 4 ulps of a pole. evaluator may be a near/far view
+    (GreensEvaluator.local). For one scatterer M is the scalar diag - inv
     with slope diag', summed by diag_orders: going through secular_orders
     and eigh costs about a quarter of the one-scatterer CLI throughput.
     Otherwise the slope is the Hellmann-Feynman v^T M' v of eigenvector v.
@@ -305,6 +317,9 @@ def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list
     indexed from the negative count at the lower end up to the one at the
     upper end cross zero in it, each once, and _hybrid_root follows each.
     Coincident roots (degenerate zero eigenvalues) come once per curve.
+    The gaps are walked in blocks of LOCAL_BLOCK_GAPS, each summed through
+    its own near/far view (_block_series); the below-ground gap is a block
+    of its own.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
@@ -314,28 +329,33 @@ def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list
             f"window top {window.hi:.6g} is beyond 90% of the truncated spectrum "
             f"({e_top:.6g}); raise n_max"
         )
-    eigenvalues, curve = _secular_curves(evaluator)
     gaps = [(a, b, _BETWEEN) for a, b in _gaps(evaluator, window)]
+    blocks = [gaps[k:k + LOCAL_BLOCK_GAPS] for k in range(0, len(gaps), LOCAL_BLOCK_GAPS)]
     first_pole = float(evaluator.energies[_pole_mask(evaluator).argmax()])
     if window.lo < first_pole - 4.0 * evaluator.pole_exclusion:
-        gaps.insert(0, (window.lo, first_pole, _BELOW))
+        # a block of its own: it may reach far below the first pole
+        blocks.insert(0, [(window.lo, first_pole, _BELOW)])
 
     levels = []
-    for a, b, kind in gaps:
-        start = min(evaluator.pole_exclusion, 1e-3 * (b - a))
-        if kind == _BELOW:  # a is the window edge, not a pole
-            lo, (vals_lo, _), missing_lo = a, eigenvalues(a), 0
-        else:
-            lo, vals_lo, missing_lo = _pole_probe(evaluator, eigenvalues, a, start, +1.0)
-        hi, vals_hi, missing_hi = _pole_probe(evaluator, eigenvalues, b, start, -1.0)
-        roots = [(lo, lo - a)] * missing_lo + [(hi, b - hi)] * missing_hi
-        for t in range(np.count_nonzero(vals_lo < 0.0), np.count_nonzero(vals_hi < 0.0)):
-            if vals_lo[t] == 0.0:  # a zero is not yet negative: the root is lo
-                roots.append((lo, 0.0))
+    for block in blocks:
+        series = _block_series(evaluator, block[0][0], block[-1][1], len(block))
+        eigenvalues, curve = _secular_curves(series)
+        for a, b, kind in block:
+            start = min(evaluator.pole_exclusion, 1e-3 * (b - a))
+            if kind == _BELOW:  # a is the window edge, not a pole
+                lo, (vals_lo, _), missing_lo = a, eigenvalues(a), 0
             else:
-                roots.append(_hybrid_root(curve(t), None if kind == _BELOW else a, b,
-                                          lo, float(vals_lo[t]), hi, float(vals_hi[t]), tol))
-        levels += [PerturbedLevel(root, (a, b), kind, resid) for root, resid in roots]
+                lo, vals_lo, missing_lo = _pole_probe(series, eigenvalues, a, start, +1.0)
+            hi, vals_hi, missing_hi = _pole_probe(series, eigenvalues, b, start, -1.0)
+            roots = [(lo, lo - a)] * missing_lo + [(hi, b - hi)] * missing_hi
+            for t in range(np.count_nonzero(vals_lo < 0.0), np.count_nonzero(vals_hi < 0.0)):
+                if vals_lo[t] == 0.0:  # a zero is not yet negative: the root is lo
+                    roots.append((lo, 0.0))
+                else:
+                    roots.append(_hybrid_root(curve(t), None if kind == _BELOW else a, b,
+                                              lo, float(vals_lo[t]), hi, float(vals_hi[t]),
+                                              tol))
+            levels += [PerturbedLevel(root, (a, b), kind, resid) for root, resid in roots]
 
     levels = [lvl for lvl in levels if window.contains(lvl.omega)]
     levels.sort(key=lambda lvl: lvl.omega)
@@ -375,10 +395,7 @@ def build_eigenfunction(evaluator: GreensEvaluator, level: PerturbedLevel) -> Ei
     if evaluator.scatterers.n != 1:
         raise ValidationError("eigenfunctions are built for one-scatterer spectra only")
     omega = level.omega
-    dist, k = evaluator.nearest_level(omega)
-    if dist <= evaluator.pole_exclusion:
-        raise PoleProximityError(omega, float(evaluator.energies[k]), int(k),
-                                 evaluator.pole_exclusion)
+    evaluator.check_pole_distance(omega)
     phi = evaluator.phi_values[:, 0]
     raw = phi / (omega - evaluator.energies)
     norm_sq = float(raw @ raw)

@@ -21,7 +21,8 @@ import numpy as np
 from .basis import BilliardSpec
 from .errors import ValidationError
 from .greens import GreensEvaluator, ScattererSet
-from .solver import DEFAULT_ROOT_TOL, EnergyWindow, _hybrid_root
+from .solver import (DEFAULT_ROOT_TOL, LOCAL_BLOCK_GAPS, EnergyWindow, _block_series,
+                     _hybrid_root)
 
 __all__ = [
     "REFERENCE_KINDS",
@@ -266,7 +267,8 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
     second derivative falls from +inf to -inf across the gap and the
     inflection is its one zero: probed next to both poles as the level
     solver does, and found by the solver's root iteration to
-    DEFAULT_ROOT_TOL. The survey records the resolvent value and slope
+    DEFAULT_ROOT_TOL, with the series summed through one near/far view per
+    block of gaps, as in the solver. The survey records the resolvent value and slope
     there next to the logarithmic law they are predicted to follow.
 
     Gaps whose probes do not bracket a zero (a mode with no weight at the
@@ -293,10 +295,13 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
     lam = evaluator.scatterers.lambda_scale
     m = evaluator.billiard.mass
 
-    curvature = functools.partial(evaluator.diag_curvature_and_derivative, 0)
     rows = []
     skipped = []
     for k in range(n_gaps):
+        if k % LOCAL_BLOCK_GAPS == 0:
+            block = min(LOCAL_BLOCK_GAPS, n_gaps - k)
+            series = _block_series(evaluator, float(inside[k]), float(inside[k + block]), block, 4)
+            curvature = functools.partial(series.diag_curvature_and_derivative, 0)
         a = float(inside[k])
         b = float(inside[k + 1])
         start = min(evaluator.pole_exclusion, 1e-3 * (b - a))
@@ -311,7 +316,7 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
                 f"gap [{a:.9g}, {b:.9g}] shows no curvature sign change")
             continue
         omega = float(_hybrid_root(curvature, a, b, lo, f_lo, hi, f_hi, DEFAULT_ROOT_TOL)[0])
-        gbar, slope = evaluator.diag_orders(0, omega, 0, 2)
+        gbar, slope = series.diag_orders(0, omega, 0, 2)
         gbar, slope = float(gbar), abs(float(slope))
         log_ref = m / (2.0 * math.pi) * math.log(omega / lam)
         rows.append(InflectionRow(omega=omega, gbar=gbar,

@@ -10,10 +10,18 @@ from scipy import integrate
 
 from pointbilliard import ValidationError, eval_eigenfunction
 from pointbilliard.errors import PoleProximityError
-from pointbilliard.greens import GreensAccuracy, GreensEvaluator, ScattererSet
+from pointbilliard.basis import BilliardSpec, mode_table_with_count
+from pointbilliard.greens import GreensAccuracy, GreensEvaluator, LocalGreens, ScattererSet
 from pointbilliard.rankone import decompose, reduce_full
 
-from conftest import gap_midpoint, make_evaluator
+from conftest import (
+    GENERIC_X,
+    GENERIC_Y_FRACTION,
+    SECOND_X,
+    SECOND_Y_FRACTION,
+    gap_midpoint,
+    make_evaluator,
+)
 
 
 def test_diag_matches_bruteforce_sum(golden, generic_point, big_table):
@@ -358,3 +366,73 @@ def test_secular_matrix_core_properties(golden, big_table, data):
     if i == j:
         got = got + inv[i] - ev.tail_correction(omega)
     assert abs(got - oracle) <= 1e-12 * scale
+
+
+def _local_case(golden, big_table, data):
+    """An evaluator and a block [lo, hi] of 1 to 40 gaps, both poles, below the
+    0.9 cutoff fraction where diag_error, and with it the view, is defined."""
+    kind = data.draw(st.sampled_from(["one", "two", "eight", "nodal", "square"]))
+    unit = st.floats(0.01, 0.99)
+    if kind == "square":
+        spec = BilliardSpec(1.0, 1.0)
+        fractions = data.draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=2,
+                                       unique=True))
+        sc = ScattererSet(tuple(fractions), (0.3,) * len(fractions))
+        ev = GreensEvaluator(spec, sc, GreensAccuracy(n_max=3_000),
+                             table=mode_table_with_count(spec, 3_000))
+        # both block edges on exactly degenerate levels
+        e = ev.energies
+        ties = np.flatnonzero(np.diff(e) == 0.0)
+        ties = ties[(ties > 100) & (ties < 2_600)]
+        first = data.draw(st.sampled_from(list(ties)))
+        later = [t for t in ties if first < t <= first + 40 and e[t] > e[first]]
+        assume(later)
+        return ev, float(e[first]), float(e[data.draw(st.sampled_from(later))])
+    if kind == "nodal":
+        # 3e-7 off the nodal line x = 1/2: every even-mx mode has a tiny weight
+        fractions = [(0.5 + 3e-7, GENERIC_Y_FRACTION)]
+    elif kind == "eight":
+        fractions = data.draw(st.lists(st.tuples(unit, unit), min_size=8, max_size=8,
+                                       unique=True))
+    else:
+        fractions = [(GENERIC_X, GENERIC_Y_FRACTION),
+                     (SECOND_X, SECOND_Y_FRACTION)][:1 if kind == "one" else 2]
+    positions = [(fx * golden.lx, fy * golden.ly) for fx, fy in fractions]
+    ev = make_evaluator(golden, big_table, positions, [0.3] * len(positions))
+    first = data.draw(st.integers(100, 2_600))
+    last = first + data.draw(st.integers(1, 40))
+    return ev, float(ev.energies[first]), float(ev.energies[last])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_local_view_matches_direct_sums(golden, big_table, data):
+    # oracle: the evaluator's own full-length sums; the view's far part may
+    # differ by its stated bound, and both by rounding on the scale of the
+    # series' terms, which next to a pole is the near term's size
+    ev, lo, hi = _local_case(golden, big_table, data)
+    view = ev.local(lo, hi, 4)
+    assert isinstance(view, LocalGreens)
+    e = ev.energies
+    poles = e[(e >= lo) & (e <= hi)]
+    if data.draw(st.booleans()):
+        omega = lo + data.draw(st.floats(0.0, 1.0)) * (hi - lo)
+    else:
+        pole = float(data.draw(st.sampled_from(list(poles))))
+        side = data.draw(st.sampled_from([-1.0, 1.0]))
+        side = 1.0 if pole == lo else -1.0 if pole == hi else side
+        omega = pole + side * 4.0 * math.ulp(pole)
+    omega = min(max(omega, lo), hi)
+    assume(not np.any(omega == e))
+    columns = range(len(ev._columns))
+    kern = np.abs(1.0 / (omega - e))
+    allowed = [[view.far_bound[k] + 1e3 * np.finfo(float).eps * math.factorial(k)
+                * (np.abs(ev._columns[c]) @ kern ** (k + 1)) for c in columns] for k in range(4)]
+    for k, (local, direct) in enumerate(zip(view._series(omega, columns, 0, 4),
+                                            ev._series(omega, columns, 0, 4))):
+        for c in columns:
+            assert abs(local[c] - direct[c]) <= allowed[k][c]
+    # the public forms add the same constant and tail terms to those sums
+    for k, (local, direct) in enumerate(zip(view.diag_orders(0, omega, 0, 2),
+                                            ev.diag_orders(0, omega, 0, 2))):
+        assert abs(local - direct) <= 2.0 * allowed[k][ev._column[0, 0]]

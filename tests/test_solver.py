@@ -8,12 +8,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from pointbilliard import ValidationError
+from pointbilliard import ValidationError, greens
 from pointbilliard.basis import BilliardSpec, mode_table_with_count
 from pointbilliard.errors import PoleProximityError
-from pointbilliard.greens import GreensEvaluator
 from pointbilliard.solver import (
     EnergyWindow,
+    PerturbedLevel,
     _gaps,
     _hybrid_root,
     build_eigenfunction,
@@ -383,6 +383,32 @@ def test_eigenfunction_rejects_near_pole_level(ev1):
         build_eigenfunction(ev1, shifted)
 
 
+def test_eigenfunction_and_diag_name_the_same_pole(ev1):
+    # both report the 1-based rank of the pole whose band holds omega
+    pole = float(ev1.energies[100])
+    omega = pole - 0.5 * ev1.pole_exclusion
+    level = PerturbedLevel(omega, (float(ev1.energies[99]), pole), "between-poles", 0.0)
+    with pytest.raises(PoleProximityError) as from_diag:
+        ev1.diag(0, omega)
+    with pytest.raises(PoleProximityError) as from_eigenfunction:
+        build_eigenfunction(ev1, level)
+    assert from_eigenfunction.value.pole_index == from_diag.value.pole_index == 101
+
+
+@pytest.mark.parametrize("n_max, first, span", [(30_000, 199, 1001), (100_000, 50_000, 40)])
+def test_block_roots_match_one_gap_windows(golden, generic_point, big_table, n_max, first,
+                                           span):
+    # the whole window runs through the near/far views of 40-gap blocks; a
+    # one-gap window has too few roots to repay a view and keeps the direct sums
+    ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=n_max)
+    window = window_over_levels(ev, first, first + span)
+    blocked = np.array([lv.omega for lv in solve_single(ev, window)])
+    gaps = list(_gaps(ev, window))
+    assert blocked.size == len(gaps) == span
+    direct = np.array([lv.omega for a, b in gaps for lv in solve_single(ev, EnergyWindow(a, b))])
+    assert np.max(np.abs(blocked - direct)) <= 1e-10
+
+
 def test_truncation_shift_bound_is_positive_and_small(ev1_30k):
     window = window_over_levels(ev1_30k, 300, 301)
     (level,) = solve_single(ev1_30k, window)
@@ -451,25 +477,35 @@ def test_hybrid_root_solves_its_own_model_within_two_evaluations(a, width, c, r_
 
 def test_single_scatterer_levels_cost_few_series_sums(golden, generic_point, big_table,
                                                       monkeypatch):
-    # every call below is one O(n_eff) pass over the 100k-mode kernel: the two
-    # end probes of a gap sum diag, each step sums value and slope together
-    # (a fused call, two orders); the checked entry points go through these two
+    # the two end probes of a gap sum diag, each step sums value and slope
+    # together (a fused call, two orders), whether through the evaluator or
+    # a near/far view; the checked entry points go through these two
     counts = {("diag_orders", 1): 0, ("diag_orders", 2): 0,
               ("secular_orders", 1): 0, ("secular_orders", 2): 0}
     for name in ("diag_orders", "secular_orders"):
-        method = getattr(GreensEvaluator, name)
+        method = getattr(greens._SeriesForms, name)
 
         def counted(*args, _method=method, _name=name, **kwargs):
             result = _method(*args, **kwargs)
             counts[_name, len(result)] += 1
             return result
 
-        monkeypatch.setattr(GreensEvaluator, name, counted)
+        monkeypatch.setattr(greens._SeriesForms, name, counted)
+    # and the series terms summed, in units of one pass over all the modes
+    terms = []
+    kernel = greens._sums
+
+    def summed(omega, energies, *args, **kwargs):
+        terms.append(energies.size)
+        return kernel(omega, energies, *args, **kwargs)
+
+    monkeypatch.setattr(greens, "_sums", summed)
     ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=100_000)
     levels = solve_single(ev, window_over_levels(ev, 30_000, 30_120))
     assert len(levels) == 120
     assert counts["diag_orders", 2] / len(levels) <= 6.0
     assert sum(counts.values()) / len(levels) <= 8.0
+    assert sum(terms) / ev.n_eff / len(levels) <= 1.0
 
 
 def independent_secular_sum(spec, table, point, inv, n_max):
