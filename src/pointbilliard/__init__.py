@@ -11,7 +11,6 @@ from .basis import (
     eval_eigenfunction,
     golden_rectangle,
     mode_table_with_count,
-    weyl_density,
 )
 from .errors import (
     IllConditionedExtensionError,

@@ -71,10 +71,6 @@ def golden_rectangle(lx: float = 1.0, mass: float = 1.0) -> BilliardSpec:
     return BilliardSpec(lx=lx, ly=lx * GOLDEN_RATIO, mass=mass)
 
 
-def weyl_density(spec: BilliardSpec) -> float:
-    return spec.weyl_density
-
-
 class ModeTable:
     """All modes with energy <= e_cut, sorted by (energy, mx, my), as flat arrays."""
 
@@ -107,8 +103,7 @@ class ModeTable:
                          float(self.energies[n - 1]))
 
 
-def build_mode_table(spec: BilliardSpec, e_cut: float,
-                     mode_budget: int = DEFAULT_MODE_BUDGET) -> ModeTable:
+def build_mode_table(spec: BilliardSpec, e_cut: float) -> ModeTable:
     """Enumerate every mode with energy <= e_cut.
 
     The quantum numbers are bounded by mx <= lx*sqrt(2*mass*e_cut)/pi (and
@@ -117,10 +112,10 @@ def build_mode_table(spec: BilliardSpec, e_cut: float,
     if not (math.isfinite(e_cut) and e_cut > 0.0):
         raise ValidationError(f"e_cut must be finite and positive, got {e_cut!r}")
     expected = spec.weyl_density * e_cut
-    if expected > mode_budget:
+    if expected > DEFAULT_MODE_BUDGET:
         raise ValidationError(
             f"e_cut={e_cut:g} implies ~{expected:.3g} modes, above the budget "
-            f"of {mode_budget}; raise mode_budget explicitly if intended"
+            f"of {DEFAULT_MODE_BUDGET}"
         )
     root = math.sqrt(2.0 * spec.mass * e_cut) / math.pi
     mx_hi = int(math.floor(spec.lx * root + 1e-12))
@@ -140,17 +135,16 @@ def build_mode_table(spec: BilliardSpec, e_cut: float,
                      energies[order], e_cut)
 
 
-def mode_table_with_count(spec: BilliardSpec, n: int,
-                          mode_budget: int = DEFAULT_MODE_BUDGET) -> ModeTable:
+def mode_table_with_count(spec: BilliardSpec, n: int) -> ModeTable:
     """Table holding at least the n lowest modes (ties kept whole)."""
     if n < 1:
         raise ValidationError(f"mode count must be >= 1, got {n}")
     # Weyl estimate plus margin covers counting fluctuations; grow if short.
     e_cut = (n + 4.0 * math.sqrt(n) + 16.0) / spec.weyl_density
-    table = build_mode_table(spec, e_cut, mode_budget=mode_budget)
+    table = build_mode_table(spec, e_cut)
     while len(table) < n:
         e_cut *= 1.3
-        table = build_mode_table(spec, e_cut, mode_budget=mode_budget)
+        table = build_mode_table(spec, e_cut)
     return table.truncated(n)
 
 

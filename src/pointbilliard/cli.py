@@ -272,9 +272,9 @@ def cmd_spectrum(config: RunConfig) -> ResultEnvelope:
 
 def _stats_payload(config: RunConfig, levels: np.ndarray, bins: int):
     """Histogram rows plus the KS / band diagnostics for a level sequence."""
-    if levels.size < 100:
-        raise ValidationError(
-            f"insufficient sample: {levels.size} levels, need >= 100")
+    if levels.size - 1 < statsmod.SMALL_SAMPLE:
+        raise ValidationError(f"insufficient sample: {max(levels.size - 1, 0)} spacings, "
+                              f"need >= {statsmod.SMALL_SAMPLE}")
     unfolded = statsmod.unfold(levels, config.billiard)
     hist = statsmod.spacing_distribution(unfolded, bins=bins)
     spacings = unfolded.spacings()

@@ -19,16 +19,20 @@ Truncation handling:
 
 * off-diagonal: the running partial sum is averaged over the last three
   energy windows of one mean spacing each.  That average is algebraically a
-  fixed per-mode weight profile (1 deep in the table, tapering to 0 at the
-  cutoff), so evaluation stays a single dot product and the weights are
-  shared by every omega.
+  fixed per-mode weight profile, min(1, (E_c - e)/(3 mean_spacing)): exactly 1
+  for every mode at least three spacings below the cutoff, tapering to 0 at
+  it.  Evaluation stays a single dot product, the weights are shared by every
+  omega, and every pole term deep in the table is exactly rank one.
+
+A mode value phi with phi^2 at or below pole_weight_floor is a node's rounding
+noise, not a pole; the evaluator zeroes it once, so every series, the solver's
+poles and the survey's curvature see the same weights.
 
 Every series is a pass of one kernel, _sums, giving omega-derivatives of chosen
 orders over a slice of the modes.  diag, diag_derivative, offdiag,
 secular_matrix and the two _batch forms first reject a non-finite omega or one
-inside the pole exclusion band; the unchecked diag_orders, secular_orders and
-diag_curvature_and_derivative serve the root finders, whose probes come within
-a few ulps of a pole.
+inside the pole exclusion band; the unchecked diag_orders and secular_orders
+serve the root finders, whose probes come within a few ulps of a pole.
 
 Near/far split (GreensEvaluator.local): over a block [lo, hi] of gaps the
 series splits at the modes in [lo, hi] plus LOCAL_NEIGHBOURS on each side.
@@ -186,14 +190,16 @@ class _SeriesForms:
     """The unchecked series methods of GreensEvaluator and of its local views.
 
     Both sum weight columns through self._series(omega, columns, first, count),
-    which returns, per order, one sum per listed column: columns index the
-    upper-triangle entries of the secular matrix (self._column), followed by
-    the floor-zeroed diagonal columns of the curvature (self._curvature_column).
+    which returns, per order, one sum per listed column; column self._column[i, j]
+    holds the weights of secular-matrix entry (i, j), one per upper-triangle
+    entry, in the row-by-row order of the triangle.
     """
 
     def diag_orders(self, i: int, omega, first: int = 0, count: int = 1) -> list:
         """Omega-derivatives of diag(i, omega) of orders first .. first+count-1,
-        from one kernel and without the pole check."""
+        from one kernel and without the pole check.  Orders 2 and 3 are the
+        curvature 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
+        plus the tail's, the latter negative everywhere."""
         out = []
         for order, (value,) in enumerate(self._series(omega, (self._column[i, i],), first, count),
                                          first):
@@ -202,18 +208,6 @@ class _SeriesForms:
             out.append(value + self.tail_correction(omega, order))
         return out
 
-    def diag_curvature_and_derivative(self, i: int, omega):
-        """Second and third derivatives of diag at scatterer i from one kernel (no
-        pole check): 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
-        plus the tail's, the third negative everywhere.
-
-        Weights at or below pole_weight_floor count as zero here: the cubic
-        kernel lets such a noise weight plant a spurious zero of the curvature
-        some 1e-8 from its level, outside the pole exclusion band.
-        """
-        (curv,), (third,) = self._series(omega, (self._curvature_column[i],), 2, 2)
-        return curv + self.tail_correction(omega, 2), third + self.tail_correction(omega, 3)
-
     def secular_orders(self, omega, first: int = 0, count: int = 1) -> list:
         """Omega-derivatives of the secular matrix of orders first .. first+count-1,
         from one kernel and without the pole check.  Order 0 is diag_i - inv_i on
@@ -221,8 +215,8 @@ class _SeriesForms:
         symmetric, and order 1 is negative definite at real omega."""
         diagonal = np.diag_indices(self.n)
         mats = []
-        for order, values in enumerate(self._series(omega, self._pair_columns, first, count),
-                                       first):
+        pairs = range(self.n * (self.n + 1) // 2)
+        for order, values in enumerate(self._series(omega, pairs, first, count), first):
             out = np.array(values)[self._column]
             # one term at a time, in diag()'s order, so the diagonal is diag() - inv exactly
             if order == 0:
@@ -239,7 +233,7 @@ class GreensEvaluator(_SeriesForms):
 
     Construction validates the scatterer geometry against the billiard,
     builds (or truncates) the mode table, and precomputes the counterterm
-    sums and the weight matrix from which every series is summed.  Instances
+    sums and the weight columns from which every series is summed.  Instances
     are immutable in practice and safe to share across threads.
     """
 
@@ -268,19 +262,26 @@ class GreensEvaluator(_SeriesForms):
         self.pole_weight_floor = POLE_WEIGHT_FLOOR * 4.0 / billiard.area
         self.lam = scatterers.lambda_scale
 
-        # phi[n, i] = eigenfunction n at scatterer i; shared by every series.
-        self._phi = np.column_stack(
-            [basis_column(self.table, p) for p in scatterers.positions])
+        # phi[n, i] = eigenfunction n at scatterer i, shared by every series and
+        # zeroed once where phi^2 is at or below the floor
+        phi = np.column_stack([basis_column(self.table, p) for p in scatterers.positions])
+        phi[phi ** 2 <= self.pole_weight_floor] = 0.0
+        self._phi = phi
         lam2 = self.lam ** 2
         denom = self.energies ** 2 + lam2
         self._counterterm = (self._phi ** 2 * (self.energies / denom)[:, None]).sum(axis=0)
         self._deficiency = (self._phi ** 2 / denom[:, None]).sum(axis=0)
-        self._block_weights = self._build_block_weights()
-        self._weights, self._column = self._build_weight_matrix()
-        self._pair_columns = range(self._weights.shape[1])
-        self._curvature_column = self._weights.shape[1] + np.arange(self.n)
-        self._columns = tuple(self._weights.T) + tuple(
-            self._resolvable(self._entry(i, i)) for i in range(self.n))
+        self._profile = self._block_profile()
+        # one weight column per upper-triangle entry (i, j) of the secular matrix:
+        # phi_i phi_j, times the block-average profile off the diagonal
+        self._column = np.empty((self.n, self.n), dtype=int)
+        columns = []
+        for i in range(self.n):
+            for j in range(i, self.n):
+                self._column[i, j] = self._column[j, i] = len(columns)
+                w = phi[:, i] * phi[:, j]
+                columns.append(w if i == j or self._profile is None else w * self._profile)
+        self._columns = tuple(columns)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -294,50 +295,24 @@ class GreensEvaluator(_SeriesForms):
 
     @property
     def phi_values(self) -> np.ndarray:
-        """Eigenfunction values at the scatterers, shape (n_eff, N)."""
+        """Eigenfunction values at the scatterers, shape (n_eff, N); those with
+        phi^2 at or below pole_weight_floor are 0."""
         return self._phi
 
-    def _build_block_weights(self):
+    def _block_profile(self):
         """Per-mode weights realising the 3-block partial-sum average: each mode's
-        mean share of the last three one-spacing windows below the cutoff."""
+        mean share of the last three one-spacing windows below the cutoff, in
+        closed form min(1, (E_c - e)/(3 mean_spacing))."""
         if not self.accuracy.offdiag_block_average:
             return None
-        width = self.mean_spacing
-        if self.energies[0] > self.cutoff_energy - 3.0 * width:
+        span = 3.0 * self.mean_spacing
+        if self.energies[0] > self.cutoff_energy - span:
             return None  # table too short to average; plain sums instead
-        covers = []
-        for m in range(3):
-            hi = self.cutoff_energy - m * width
-            covers.append(np.clip(hi - np.maximum(hi - width, self.energies), 0.0, width) / width)
-        return (covers[0] + covers[1] + covers[2]) / 3.0
-
-    def _build_weight_matrix(self):
-        """One contiguous column per upper-triangle entry of the secular matrix.
-
-        Column column[i, j] holds phi_i * phi_j, times the block-average
-        profile off the diagonal; columns run over the upper triangle row
-        by row, the order secular_matrix fills it in.
-        """
-        n = self.n
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        weights = np.empty((self.n_eff, len(pairs)), order="F")
-        column = np.empty((n, n), dtype=int)
-        for k, (i, j) in enumerate(pairs):
-            weights[:, k] = self._phi[:, i] * self._phi[:, j]
-            if i != j and self._block_weights is not None:
-                weights[:, k] *= self._block_weights
-            column[i, j] = column[j, i] = k
-        return weights, column
+        return np.minimum(1.0, (self.cutoff_energy - self.energies) / span)
 
     def _entry(self, i: int, j: int) -> np.ndarray:
         """Weight column of secular-matrix entry (i, j)."""
-        return self._weights[:, self._column[i, j]]
-
-    def _resolvable(self, weights: np.ndarray) -> np.ndarray:
-        """The diagonal weights with those at or below pole_weight_floor zeroed,
-        the column itself when none is nonzero there."""
-        noise = (weights > 0.0) & (weights <= self.pole_weight_floor)
-        return np.where(noise, 0.0, weights) if noise.any() else weights
+        return self._columns[self._column[i, j]]
 
     def _series(self, omega, columns, first: int = 0, count: int = 1):
         """_sums of the listed weight columns over every mode."""
@@ -349,9 +324,8 @@ class GreensEvaluator(_SeriesForms):
 
         Returns a LocalGreens view, or the evaluator itself when the block
         is empty, no mode is far, or the far part's error bound exceeds LOCAL_ERROR_SHARE of
-        diag_error at the block midpoint (or that is infinite).  count above
-        2 adds the floor-zeroed curvature columns.  The view is the caller's:
-        nothing is stored on the evaluator.
+        diag_error at the block midpoint (or that is infinite).  The view is
+        the caller's: nothing is stored on the evaluator.
         """
         e = self.energies
         n0 = max(int(np.searchsorted(e, lo)) - LOCAL_NEIGHBOURS, 0)
@@ -435,9 +409,9 @@ class GreensEvaluator(_SeriesForms):
 
     def offdiag_weights(self) -> np.ndarray:
         """Per-mode weights of the block-averaged off-diagonal sums (all 1 when off)."""
-        if self._block_weights is None:
+        if self._profile is None:
             return np.ones(self.n_eff)
-        return self._block_weights
+        return self._profile
 
     def diag_error(self, i: int, omega) -> float:
         """Estimated absolute truncation error of diag().
@@ -520,36 +494,30 @@ class GreensEvaluator(_SeriesForms):
 
 
 class LocalGreens(_SeriesForms):
-    """diag_orders, secular_orders and diag_curvature_and_derivative of an
-    evaluator for omega in [lo, hi], built by GreensEvaluator.local.
+    """diag_orders and secular_orders of an evaluator for omega in [lo, hi],
+    built by GreensEvaluator.local.
 
     Each series is the near sum, by _sums over modes n0 .. n1-1, plus the far
     part's Chebyshev interpolant, whose error is at most far_bound[k] at order
     k.  The far node values come one node at a time from views of the two far
     slices, e[:n0] and e[n1:], so no weight is copied.  It serves orders below
-    count, and carries the attributes the root finders read off an evaluator.
-    Immutable in practice.
+    count and holds only what the sums need: the table facts (energies, mode
+    values, pole weight floor) stay on the evaluator.  Immutable in practice.
     """
 
     def __init__(self, evaluator: GreensEvaluator, lo: float, hi: float, n0: int, n1: int,
                  count: int, far_bound: tuple):
         self.n = evaluator.n
         self.scatterers = evaluator.scatterers
-        self.energies = evaluator.energies
-        self.phi_values = evaluator.phi_values
-        self.pole_weight_floor = evaluator.pole_weight_floor
         self.tail_correction = evaluator.tail_correction
         self.far_bound = far_bound
         self._column = evaluator._column
-        self._pair_columns = evaluator._pair_columns
-        self._curvature_column = evaluator._curvature_column
         self._counterterm = evaluator._counterterm
         self._centre, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
-        columns = evaluator._columns if count > 2 else evaluator._columns[:len(self._pair_columns)]
-        e = evaluator.energies
+        columns, e = evaluator._columns, evaluator.energies
         self._near_energies = e[n0:n1]
-        self._near = [w[n0:n1] for w in evaluator._columns]
+        self._near = [w[n0:n1] for w in columns]
         far = [(e[:n0], [w[:n0] for w in columns]), (e[n1:], [w[n1:] for w in columns])]
         angles = math.pi * (np.arange(LOCAL_NODES) + 0.5) / LOCAL_NODES
         values = np.zeros((count, LOCAL_NODES, len(columns)))

@@ -101,13 +101,14 @@ class EigenfunctionRep:
 
 
 def _pole_mask(evaluator: GreensEvaluator) -> np.ndarray:
-    """True for modes that carry a resolvable pole at some scatterer; the
-    gaps of the others are merged."""
-    return (evaluator.phi_values ** 2).max(axis=1) > evaluator.pole_weight_floor
+    """True for modes that carry a pole: a nonzero value at some scatterer
+    (the evaluator zeroes those at or below its pole weight floor)."""
+    return evaluator.phi_values.any(axis=1)
 
 
 def _gaps(evaluator: GreensEvaluator, window: EnergyWindow) -> Iterator[tuple[float, float]]:
-    """Pole gaps overlapping the window, tiny-weight poles merged away.
+    """Pole gaps overlapping the window, the levels of zero-weight modes
+    merged away (_pole_mask).
 
     Yields (left_pole, right_pole) pairs with positive width. Gaps narrower
     than four pole-exclusion widths are unresolvable and skipped.
@@ -267,7 +268,8 @@ def _secular_curves(evaluator: GreensEvaluator):
     return eigenvalues, curve
 
 
-def _pole_probe(evaluator: GreensEvaluator, eigenvalues, pole: float, start: float, sign: float):
+def _pole_probe(evaluator: GreensEvaluator, series, eigenvalues, pole: float, start: float,
+                sign: float):
     """Probe M at x = pole + sign * offset until no root lies closer.
 
     Returns (x, sorted eigenvalues of M(x), number of roots between x and
@@ -281,7 +283,9 @@ def _pole_probe(evaluator: GreensEvaluator, eigenvalues, pole: float, start: flo
     right and -inf on its left; the others tend to those of the regular
     part of M at the pole, compressed onto the complement of the span of
     U. That compression of M itself holds no pole term, so its first-order
-    extrapolation from x fixes the rest of the count.
+    extrapolation from x fixes the rest of the count. The mode values, the
+    pole weight floor of the rank and the energies come from evaluator;
+    series (the evaluator or its near/far view) supplies only M'.
     """
     extreme = 0 if sign > 0.0 else evaluator.n
     floor = 4.0 * math.ulp(pole)
@@ -300,7 +304,7 @@ def _pole_probe(evaluator: GreensEvaluator, eigenvalues, pole: float, start: flo
                 q = vt[rank:].T
             at_pole = rank if sign < 0.0 else 0
             if q.size:
-                regular = q.T @ (m + (pole - x) * evaluator.secular_orders(x, 1)[0]) @ q
+                regular = q.T @ (m + (pole - x) * series.secular_orders(x, 1)[0]) @ q
                 at_pole += int(np.sum(np.linalg.eigvalsh(regular) < 0.0))
             missing = int(sign * (count - at_pole))
         if not missing or d <= floor:
@@ -345,8 +349,8 @@ def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list
             if kind == _BELOW:  # a is the window edge, not a pole
                 lo, (vals_lo, _), missing_lo = a, eigenvalues(a), 0
             else:
-                lo, vals_lo, missing_lo = _pole_probe(series, eigenvalues, a, start, +1.0)
-            hi, vals_hi, missing_hi = _pole_probe(series, eigenvalues, b, start, -1.0)
+                lo, vals_lo, missing_lo = _pole_probe(evaluator, series, eigenvalues, a, start, 1.0)
+            hi, vals_hi, missing_hi = _pole_probe(evaluator, series, eigenvalues, b, start, -1.0)
             roots = [(lo, lo - a)] * missing_lo + [(hi, b - hi)] * missing_hi
             for t in range(np.count_nonzero(vals_lo < 0.0), np.count_nonzero(vals_hi < 0.0)):
                 if vals_lo[t] == 0.0:  # a zero is not yet negative: the root is lo

@@ -272,7 +272,7 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
     there next to the logarithmic law they are predicted to follow.
 
     Gaps whose probes do not bracket a zero (a mode with no weight at the
-    scatterer, or one below the pole weight floor, which the curvature drops)
+    scatterer, as the evaluator counts one at or below its pole weight floor)
     or leave no room between them (degenerate levels) are reported in
     ``skipped`` rather than silently dropped.
     """
@@ -301,7 +301,7 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
         if k % LOCAL_BLOCK_GAPS == 0:
             block = min(LOCAL_BLOCK_GAPS, n_gaps - k)
             series = _block_series(evaluator, float(inside[k]), float(inside[k + block]), block, 4)
-            curvature = functools.partial(series.diag_curvature_and_derivative, 0)
+            curvature = functools.partial(series.diag_orders, 0, first=2, count=2)
         a = float(inside[k])
         b = float(inside[k + 1])
         start = min(evaluator.pole_exclusion, 1e-3 * (b - a))

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,26 @@ def test_stats_insufficient_sample_is_validation_error(tmp_path, level_energy, c
     rc = cli.main(["stats", "--config", cfg])
     assert rc == 2
     assert "insufficient sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [100, 101])
+def test_stats_sample_threshold_counts_spacings(tmp_path, level_energy, capsys, count):
+    # the library warns below SMALL_SAMPLE spacings; the CLI refuses those
+    # samples instead, so an accepted one never prints the warning
+    cfg = write_config(tmp_path, window=(level_energy(200), level_energy(330)))
+    plain = tmp_path / "levels.txt"
+    plain.write_text("\n".join(repr(level_energy(200 + k)) for k in range(count)) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["stats", "--config", cfg, "--levels", str(plain),
+                       "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert not caught and "noisy" not in err
+    if count == 100:
+        assert rc == 2
+        assert "insufficient sample: 99 spacings, need >= 100" in err
+    else:
+        assert rc == 0
 
 
 def test_sweep_singleton_matches_stats(tmp_path, level_energy):

@@ -13,6 +13,7 @@ from pointbilliard.errors import PoleProximityError
 from pointbilliard.basis import BilliardSpec, mode_table_with_count
 from pointbilliard.greens import GreensAccuracy, GreensEvaluator, LocalGreens, ScattererSet
 from pointbilliard.rankone import decompose, reduce_full
+from pointbilliard.solver import _pole_mask
 
 from conftest import (
     GENERIC_X,
@@ -22,6 +23,7 @@ from conftest import (
     gap_midpoint,
     make_evaluator,
 )
+from test_stats import independent_curvature
 
 
 def test_diag_matches_bruteforce_sum(golden, generic_point, big_table):
@@ -104,7 +106,7 @@ def test_diag_curvature_matches_mode_sums_and_differences(golden, generic_point,
         omega = gap_midpoint(ev, k)
         d = omega - ev.energies
         gap = ev.cutoff_energy - omega
-        curv, third = ev.diag_curvature_and_derivative(0, omega)
+        curv, third = ev.diag_orders(0, omega, 2, 2)
         terms = 2.0 * phi_sq / d ** 3  # of both signs: compare on the scale of their sizes
         assert abs(curv - (math.fsum(terms) - scale / gap ** 2)) <= 1e-12 * np.abs(terms).sum()
         assert third == pytest.approx(math.fsum(-6.0 * phi_sq / d ** 4) - 2.0 * scale / gap ** 3,
@@ -146,6 +148,56 @@ def test_offdiag_weights_structure(ev2):
                          ev2.scatterers.inv_couplings, n_max=3000,
                          offdiag_block_average=False)
     assert np.all(raw.offdiag_weights() == 1.0)
+
+
+@pytest.mark.parametrize("n_max", [30_000, 100_000])
+def test_offdiag_profile_is_exactly_one_three_spacings_below_cutoff(golden, generic_point,
+                                                                    big_table, n_max):
+    # the three one-spacing covers add up to 1 for every such mode; summed
+    # as three clipped differences they rounded to 0.9999999999995842
+    ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=n_max)
+    deep = ev.cutoff_energy - ev.energies >= 3.0 * ev.mean_spacing
+    assert deep.sum() > 0.99 * ev.n_eff
+    assert np.all(ev.offdiag_weights()[deep] == 1.0)
+
+
+def test_pole_weight_blocks_are_exactly_rank_one(golden, generic_point, second_point,
+                                                 big_table):
+    # oracle: outer(phi_k, phi_k) of the evaluator's own mode values; a block
+    # off rank one by 4e-13 planted a spurious root next to a strong pole
+    ev = make_evaluator(golden, big_table, [generic_point, second_point, (0.3, 1.1)],
+                        [0.3, -0.4, 1.0], n_max=30_000)
+    phi = ev.phi_values
+    deep = ev.cutoff_energy - ev.energies >= 3.0 * ev.mean_spacing
+    strong = 4_000 + int(np.argmax((phi[4_000:4_100] ** 2).sum(axis=1)))
+    block = np.array([[ev._entry(i, j)[strong] for j in range(3)] for i in range(3)])
+    assert np.array_equal(block, np.outer(phi[strong], phi[strong]))
+    for i in range(3):
+        for j in range(3):
+            assert np.array_equal(ev._entry(i, j)[deep], phi[deep, i] * phi[deep, j])
+
+
+def test_sub_floor_mode_values_are_zero_in_every_column(golden, big_table):
+    # both scatterers on the nodal line x = lx/2, the first also on y = ly/3:
+    # their even-mx modes carry rounding noise only, (m eps)^2, and drop out
+    # of the poles; the curvature oracle counts sub-floor weights as zero too
+    points = [(0.5 * golden.lx, golden.ly / 3.0),
+              (0.5 * golden.lx, GENERIC_Y_FRACTION * golden.ly)]
+    ev = make_evaluator(golden, big_table, points, [0.3, -0.4])
+    dropped = ~_pole_mask(ev)
+    assert dropped.sum() > 0.4 * ev.n_eff
+    assert np.all(ev.phi_values[dropped] == 0.0)
+    for column in ev._columns:
+        assert np.all(column[dropped] == 0.0)
+    f = independent_curvature(golden, ev.table, points[0], ev.n_eff)
+    e = ev.energies
+    phi_sq = ev.phi_values[:, 0] ** 2
+    pole = float(e[np.flatnonzero(dropped)[600]])
+    for omega in (gap_midpoint(ev, 400), gap_midpoint(ev, 1_500),
+                  pole + 1e-6 * ev.mean_spacing, pole - 1e-6 * ev.mean_spacing):
+        curv = ev.diag_orders(0, omega, 2, 2)[0]
+        scale = np.abs(2.0 * phi_sq / (omega - e) ** 3).sum()
+        assert abs(curv - f(omega)) <= 1e-12 * scale
 
 
 def test_secular_matrix_entries_and_batch(ev2):

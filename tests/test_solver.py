@@ -238,6 +238,47 @@ def test_solve_multi_resolves_gap_narrower_than_grid_margin(
     assert found == roots.size
 
 
+def test_solve_multi_counts_roots_next_to_strong_poles(golden, big_table):
+    # four scatterers drawn by the benchmark (multi-30k, seed 49, config 2,
+    # window 1): an off-diagonal profile of 0.9999999999995842 deep in the
+    # table put a spurious root 5e-9 above a strong pole.  Oracle: the
+    # negative count of secular matrices summed here, from the sines, with
+    # every mode term exactly rank one
+    positions = [(0.7891527562460194, 0.618558348058572),
+                 (0.5650014302250267, 0.3972540587042524),
+                 (0.7177720379230803, 1.465590411898022),
+                 (0.07343224062697558, 0.8516807412261415)]
+    inv = [-0.4226875162315933, 0.9273379433369453, 1.1521208141708896, 0.47417287489132454]
+    n_max = 30_000
+    ev = make_evaluator(golden, big_table, positions, inv, n_max=n_max)
+    window = window_over_levels(ev, 4_008, 4_016)
+    roots = np.array([lv.omega for lv in solve_multi(ev, window)])
+
+    e = big_table.energies[:n_max]
+    mx, my = big_table.mx[:n_max, None], big_table.my[:n_max, None]
+    x, y = np.array(positions).T
+    phi = (2.0 / math.sqrt(golden.area)) * (np.sin(np.pi * mx * x / golden.lx)
+                                            * np.sin(np.pi * my * y / golden.ly))
+    cover = np.minimum(1.0, (e[-1] - e) / (3.0 * golden.mean_spacing))
+    scale = golden.mass / (2.0 * math.pi)
+    constant = (phi ** 2 * (e / (e * e + 1.0))[:, None]).sum(axis=0) - inv
+
+    def negative_count(w):
+        kern = 1.0 / (w - e)
+        m = (phi * (kern * cover)[:, None]).T @ phi
+        tail = scale * math.log((e[-1] - w) / math.sqrt(e[-1] ** 2 + 1.0))
+        m[np.diag_indices(4)] = (phi ** 2 * kern[:, None]).sum(axis=0) + constant + tail
+        return int(np.sum(np.linalg.eigvalsh(m) < 0.0))
+
+    placed = 0
+    for a, b in zip(e[4_008:4_016], e[4_009:4_017]):
+        inside = int(np.sum((roots > a) & (roots < b)))
+        eps = 1e-8 * (b - a)
+        assert inside == negative_count(b - eps) - negative_count(a + eps)
+        placed += inside
+    assert placed == roots.size
+
+
 @pytest.fixture(scope="module")
 def square_table():
     spec = BilliardSpec(1.0, 1.0)
