@@ -32,7 +32,13 @@ Every series is a pass of one kernel, _sums, giving omega-derivatives of chosen
 orders over a slice of the modes.  diag, diag_derivative, offdiag,
 secular_matrix and the two _batch forms first reject a non-finite omega or one
 inside the pole exclusion band; the unchecked diag_orders and secular_orders
-serve the root finders, whose probes come within a few ulps of a pole.
+serve the root finders, whose probes come within a few ulps of a pole.  These
+two also take an array of omegas, one kernel row per point.  Every sum is a
+row reduction, one BLAS dot per point and weight column (np.vecdot), never a
+matrix product, so an entry is the same bit for bit whichever other points and
+columns are evaluated with it: a point alone or in a batch, a scatterer alone
+or among others.  The evaluator's own full-length sums take the points one at
+a time, so no points x n_eff kernel is formed.
 
 Near/far split (GreensEvaluator.local): over a block [lo, hi] of gaps the
 series splits at the modes in [lo, hi] plus LOCAL_NEIGHBOURS on each side.
@@ -154,35 +160,36 @@ def _is_complex(omega) -> bool:
 
 def _sums(omega, energies, weights, first: int = 0, count: int = 1):
     """Order-k omega-derivatives of sum_n w[n] / (omega - e_n) over the given
-    energies for each weight vector w aligned with them, one list per order
-    k = first .. first+count-1.
+    energies for each row w of the (columns, energies) array weights, one
+    array of shape omega.shape + (columns,) per order k = first ..
+    first+count-1.  omega is a scalar or an array of points.
 
-    The kernel powers 1/(omega - e_n)^(k+1) are products taken elementwise
-    (pow() is 100x slower on these kernels), in place where no dot needs the
-    factor any more, and all of them before the first dot: with several BLAS
+    The kernel, of shape omega.shape + energies.shape, holds one row per
+    point.  Its powers 1/(omega - e_n)^(k+1) are products taken elementwise
+    (pow() is 100x slower on these kernels), in place where no sum needs the
+    factor any more, and all of them before the first sum: with several BLAS
     threads a dot spreads the kernel over the cores, and an elementwise step
-    after it pays to gather it back.  Each sum is one 1-D dot, never a matrix
-    product, so no entry depends on which others come with it, and the factor
-    (-1)^k k! multiplies the dot.
+    after it pays to gather it back.  Each sum is a row reduction, np.vecdot:
+    one BLAS dot per (point, weight row) pair, the same dot a single point
+    and column take alone, never a matrix product, so no entry depends on
+    which other points or columns come with it.  The factor (-1)^k k!
+    multiplies the sum.
     """
-    kern = 1.0 / (omega - energies)
+    kern = 1.0 / (np.asarray(omega)[..., None] - energies)
     powers, term = [kern] if first == 0 else [], kern
     for order in range(1, first + count):
         if first and order == first + count - 1:
             term = np.multiply(term, kern, out=kern)  # the kernel's last use
         elif order - 1 < first and term is not kern:
-            term *= kern  # the previous power has no dot of its own
+            term *= kern  # the previous power has no sum of its own
         else:
             term = term * kern
         if order >= first:
             powers.append(term)
     out = []
     for order, term in enumerate(powers, first):
-        if order == 0:
-            out.append([w @ term for w in weights])
-        else:
-            scale = (-1) ** order * math.factorial(order)
-            out.append([scale * (w @ term) for w in weights])
+        sums = np.vecdot(weights, term[..., None, :])
+        out.append(sums if order == 0 else (-1) ** order * math.factorial(order) * sums)
     return out
 
 
@@ -190,9 +197,11 @@ class _SeriesForms:
     """The unchecked series methods of GreensEvaluator and of its local views.
 
     Both sum weight columns through self._series(omega, columns, first, count),
-    which returns, per order, one sum per listed column; column self._column[i, j]
+    which returns, per order, the sums of the columns selected by the index
+    columns, of shape omega.shape + (columns,); column self._column[i, j]
     holds the weights of secular-matrix entry (i, j), one per upper-triangle
-    entry, in the row-by-row order of the triangle.
+    entry, in the row-by-row order of the triangle.  omega is a scalar or an
+    array of points, and each point's values are those it has alone.
     """
 
     def diag_orders(self, i: int, omega, first: int = 0, count: int = 1) -> list:
@@ -200,9 +209,10 @@ class _SeriesForms:
         from one kernel and without the pole check.  Orders 2 and 3 are the
         curvature 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
         plus the tail's, the latter negative everywhere."""
+        c = self._column[i, i]
         out = []
-        for order, (value,) in enumerate(self._series(omega, (self._column[i, i],), first, count),
-                                         first):
+        for order, sums in enumerate(self._series(omega, slice(c, c + 1), first, count), first):
+            value = sums[..., 0]
             if order == 0:
                 value = value + self._counterterm[i]
             out.append(value + self.tail_correction(omega, order))
@@ -210,20 +220,21 @@ class _SeriesForms:
 
     def secular_orders(self, omega, first: int = 0, count: int = 1) -> list:
         """Omega-derivatives of the secular matrix of orders first .. first+count-1,
-        from one kernel and without the pole check.  Order 0 is diag_i - inv_i on
-        the diagonal and the free Green function off it; every higher order is
-        symmetric, and order 1 is negative definite at real omega."""
-        diagonal = np.diag_indices(self.n)
+        from one kernel and without the pole check, each of shape
+        omega.shape + (N, N).  Order 0 is diag_i - inv_i on the diagonal and the
+        free Green function off it; every higher order is symmetric, and order 1
+        is negative definite at real omega."""
+        n = self.n
         mats = []
-        pairs = range(self.n * (self.n + 1) // 2)
-        for order, values in enumerate(self._series(omega, pairs, first, count), first):
-            out = np.array(values)[self._column]
+        for order, sums in enumerate(self._series(omega, slice(None), first, count), first):
+            out = sums[..., self._column]
+            diagonal = out.reshape(*np.shape(omega), n * n)[..., ::n + 1]  # a view
             # one term at a time, in diag()'s order, so the diagonal is diag() - inv exactly
             if order == 0:
-                out[diagonal] += self._counterterm
-            out[diagonal] += self.tail_correction(omega, order)
+                diagonal += self._counterterm
+            diagonal += np.asarray(self.tail_correction(omega, order))[..., None]
             if order == 0:
-                out[diagonal] -= self.scatterers.inv_couplings
+                diagonal -= self.scatterers.inv_couplings
             mats.append(out)
         return mats
 
@@ -269,19 +280,23 @@ class GreensEvaluator(_SeriesForms):
         self._phi = phi
         lam2 = self.lam ** 2
         denom = self.energies ** 2 + lam2
-        self._counterterm = (self._phi ** 2 * (self.energies / denom)[:, None]).sum(axis=0)
-        self._deficiency = (self._phi ** 2 / denom[:, None]).sum(axis=0)
+        # one 1-D sum per scatterer, so an entry does not depend on the others
+        self._counterterm = np.array([(p ** 2 * (self.energies / denom)).sum() for p in phi.T])
+        self._deficiency = np.array([(p ** 2 / denom).sum() for p in phi.T])
         self._profile = self._block_profile()
-        # one weight column per upper-triangle entry (i, j) of the secular matrix:
-        # phi_i phi_j, times the block-average profile off the diagonal
+        # weight column c of the series, row c here, one per upper-triangle entry
+        # (i, j) of the secular matrix: phi_i phi_j, times the block-average
+        # profile off the diagonal
         self._column = np.empty((self.n, self.n), dtype=int)
-        columns = []
+        self._columns = np.empty((self.n * (self.n + 1) // 2, self.n_eff))
+        c = 0
         for i in range(self.n):
             for j in range(i, self.n):
-                self._column[i, j] = self._column[j, i] = len(columns)
-                w = phi[:, i] * phi[:, j]
-                columns.append(w if i == j or self._profile is None else w * self._profile)
-        self._columns = tuple(columns)
+                self._column[i, j] = self._column[j, i] = c
+                np.multiply(phi[:, i], phi[:, j], out=self._columns[c])
+                if i != j and self._profile is not None:
+                    self._columns[c] *= self._profile
+                c += 1
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -315,8 +330,15 @@ class GreensEvaluator(_SeriesForms):
         return self._columns[self._column[i, j]]
 
     def _series(self, omega, columns, first: int = 0, count: int = 1):
-        """_sums of the listed weight columns over every mode."""
-        return _sums(omega, self.energies, [self._columns[c] for c in columns], first, count)
+        """_sums of the selected weight columns over every mode, for an array
+        of points one point at a time: a points x n_eff kernel would not fit
+        the cache, and a row per point sums alike either way."""
+        weights = self._columns[columns]
+        if np.ndim(omega) == 0:
+            return _sums(omega, self.energies, weights, first, count)
+        sums = [_sums(w, self.energies, weights, first, count) for w in np.ravel(omega)]
+        return [np.reshape([point[k] for point in sums], (*np.shape(omega), len(weights)))
+                for k in range(count)]
 
     def local(self, lo: float, hi: float, count: int = 2):
         """The unchecked series methods for omega in [lo, hi], orders below
@@ -378,13 +400,10 @@ class GreensEvaluator(_SeriesForms):
         scale = self.billiard.mass / (2.0 * math.pi)
         if order:
             return -scale * math.factorial(order - 1) / (ec - omega) ** order
-        half_log = 0.5 * math.log(ec * ec + self.lam * self.lam)
-        if _is_complex(omega):
-            return scale * (np.log(ec - omega) - half_log)
-        if omega >= ec:
+        if not _is_complex(omega) and (np.asarray(omega) >= ec).any():
             raise ValidationError(
                 f"omega={omega!r} is not below the series cutoff {ec:g}")
-        return scale * (math.log(ec - omega) - half_log)
+        return scale * (np.log(ec - omega) - 0.5 * math.log(ec * ec + self.lam * self.lam))
 
     def tail_correction(self, omega, order: int = 0):
         """Integral tail added to the diagonal series, or its order-th
@@ -452,7 +471,7 @@ class GreensEvaluator(_SeriesForms):
                 "off-diagonal series requires distinct scatterer indices; "
                 "the i == j case is the renormalised diagonal diag()")
         self.check_pole_distance(omega)
-        return _sums(omega, self.energies, [self._entry(i, j)])[0][0]
+        return _sums(omega, self.energies, self._entry(i, j)[None])[0][0]
 
     # -- secular matrix ----------------------------------------------------
 
@@ -500,9 +519,12 @@ class LocalGreens(_SeriesForms):
     Each series is the near sum, by _sums over modes n0 .. n1-1, plus the far
     part's Chebyshev interpolant, whose error is at most far_bound[k] at order
     k.  The far node values come one node at a time from views of the two far
-    slices, e[:n0] and e[n1:], so no weight is copied.  It serves orders below
-    count and holds only what the sums need: the table facts (energies, mode
-    values, pole weight floor) stay on the evaluator.  Immutable in practice.
+    slices, e[:n0] and e[n1:], so no weight is copied.  Each weight column has
+    its own coefficients, built and evaluated by one product or row reduction
+    per column, so like the near sums no column's value depends on which
+    others come with it.  It serves orders below count and holds only what
+    the sums need: the table facts (energies, mode values, pole weight floor)
+    stay on the evaluator.  Immutable in practice.
     """
 
     def __init__(self, evaluator: GreensEvaluator, lo: float, hi: float, n0: int, n1: int,
@@ -515,31 +537,28 @@ class LocalGreens(_SeriesForms):
         self._counterterm = evaluator._counterterm
         self._centre, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
-        columns, e = evaluator._columns, evaluator.energies
+        weights, e = evaluator._columns, evaluator.energies
         self._near_energies = e[n0:n1]
-        self._near = [w[n0:n1] for w in columns]
-        far = [(e[:n0], [w[:n0] for w in columns]), (e[n1:], [w[n1:] for w in columns])]
+        self._near = weights[:, n0:n1]
+        far = [(e[:n0], weights[:, :n0]), (e[n1:], weights[:, n1:])]
         angles = math.pi * (np.arange(LOCAL_NODES) + 0.5) / LOCAL_NODES
-        values = np.zeros((count, LOCAL_NODES, len(columns)))
+        values = np.zeros((count, len(weights), LOCAL_NODES))
         for j, x in enumerate(self._centre + self._half * np.cos(angles)):
-            for energies, weights in far:
+            for energies, far_weights in far:
                 if energies.size:
-                    values[:, j] += _sums(float(x), energies, weights, 0, count)
-        # coefficients of the interpolant sum_m c_m T_m(t), t = (omega - centre)/half
+                    values[..., j] += _sums(float(x), energies, far_weights, 0, count)
+        # coefficients of the interpolant sum_m c_m T_m(t), t = (omega - centre)/half,
+        # one (count, column) row of LOCAL_NODES each
         self._degrees = np.arange(LOCAL_NODES)
         cosines = np.cos(np.outer(self._degrees, angles)) * (2.0 / LOCAL_NODES)
         cosines[0] *= 0.5
-        self._coeffs = cosines @ values
+        self._coeffs = np.array([[cosines @ v for v in order] for order in values])
 
     def _series(self, omega, columns, first: int = 0, count: int = 1):
-        """_sums of the listed weight columns: the near slice exactly, the far
-        modes by their interpolants."""
-        columns = list(columns)
-        near = _sums(omega, self._near_energies, [self._near[c] for c in columns], first, count)
-        t = min(max((omega - self._centre) / self._half, -1.0), 1.0)
-        basis = np.cos(self._degrees * math.acos(t))
-        out = []
-        for order, values in enumerate(near, first):
-            far = (basis @ self._coeffs[order])[columns]
-            out.append([v + f for v, f in zip(values, far)])
-        return out
+        """_sums of the selected weight columns: the near slice exactly, the
+        far modes by their interpolants."""
+        near = _sums(omega, self._near_energies, self._near[columns], first, count)
+        t = np.minimum(np.maximum((np.asarray(omega) - self._centre) / self._half, -1.0), 1.0)
+        basis = np.cos(np.multiply.outer(np.arccos(t), self._degrees))[..., None, :]
+        return [sums + np.vecdot(basis, self._coeffs[order, columns])
+                for order, sums in enumerate(near, first)]

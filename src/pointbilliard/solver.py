@@ -15,6 +15,12 @@ plunges into a pole costs no more steps than a flat one. One scatterer
 is the case N = 1, with exactly one root per gap between distinct
 unperturbed levels and one bound state below them.
 
+The gaps are independent problems, solved a block at a time through one
+near/far view of the Green sums (GreensEvaluator.local): one evaluation
+probes every pole end of the block, and one vectorised iteration follows
+every crossing curve of the block, each element stepping exactly as it
+would alone and leaving the batch when it converges.
+
 All roots are reported with their bracketing gap, an estimate of the
 remaining root displacement as residual, and a kind tag.
 """
@@ -106,16 +112,14 @@ def _pole_mask(evaluator: GreensEvaluator) -> np.ndarray:
     return evaluator.phi_values.any(axis=1)
 
 
-def _gaps(evaluator: GreensEvaluator, window: EnergyWindow) -> Iterator[tuple[float, float]]:
-    """Pole gaps overlapping the window, the levels of zero-weight modes
-    merged away (_pole_mask).
+def _gaps(evaluator: GreensEvaluator, poles: np.ndarray,
+          window: EnergyWindow) -> Iterator[tuple[float, float]]:
+    """Gaps between the given poles (the energies of _pole_mask, so the levels
+    of zero-weight modes are merged away) that overlap the window.
 
     Yields (left_pole, right_pole) pairs with positive width. Gaps narrower
     than four pole-exclusion widths are unresolvable and skipped.
     """
-    energies = evaluator.energies
-    mask = _pole_mask(evaluator)
-    poles = energies[mask]
     if poles.size == 0:
         return
     min_width = 4.0 * evaluator.pole_exclusion
@@ -131,8 +135,9 @@ def _gaps(evaluator: GreensEvaluator, window: EnergyWindow) -> Iterator[tuple[fl
         yield a, b
 
 
-def _model_root(a, b, x, f, slope, x_p, f_p) -> float:
-    """Zero of f ~ C + S_a / (x - a) + S_b / (x - b) fitted to f's samples.
+def _model_root(a, b, x, f, slope, x_p, f_p):
+    """Zeros of f ~ C + S_a / (x - a) + S_b / (x - b) fitted to f's samples,
+    one per element of the arrays.
 
     With a slope, the model matches f and f' at x and f at x_p; without
     one (the first step, x and x_p the bracket ends) it matches the two
@@ -140,81 +145,94 @@ def _model_root(a, b, x, f, slope, x_p, f_p) -> float:
     C + S_b / (x - b) matches either two values or value and slope. In the
     offset t = x - a over the gap width w = b - a, the zero solves
     C t^2 + (S_a + S_b - C w) t - S_a w = 0; the root taken is the one in
-    (0, w) when S_a, S_b > 0, written without cancellation. Returns nan
-    when the model has no real zero.
+    (0, w) when S_a, S_b > 0, written without cancellation. An element is
+    nan where its model has no real zero.
     """
-    v, v_p = x - b, x_p - b
-    if a is None:
-        s_b = -slope * v * v if slope is not None else (f - f_p) * v * v_p / (x_p - x)
-        c = f - s_b / v
-        return b - s_b / c if c > 0.0 else math.nan
-    width = b - a
-    u, u_p = x - a, x_p - a
-    if slope is None:
-        s_a = u * u_p * (f * v - f_p * v_p) / (width * (x - x_p))
-        s_b = v * v_p * (f_p * u_p - f * u) / (width * (x - x_p))
-        c = 0.0
-    else:
-        # the model's slopes S / (x - pole)^2 at x split f' in two parts
-        secant = (f - f_p) / (x - x_p)
-        part_a = u_p * (slope * v - secant * v_p) / (width * (x_p - x))
-        part_b = -slope - part_a
-        s_a, s_b = part_a * u * u, part_b * v * v
-        c = f - part_a * u - part_b * v
-    bq = s_a + s_b - c * width
-    disc = bq * bq + 4.0 * c * s_a * width
-    if not disc >= 0.0:
-        return math.nan
-    root = math.sqrt(disc)
-    if bq > 0.0:
-        return a + 2.0 * s_a * width / (bq + root)
-    if c != 0.0:
-        return a + (root - bq) / (2.0 * c)
-    return math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v, v_p = x - b, x_p - b
+        if a is None:
+            s_b = -slope * v * v if slope is not None else (f - f_p) * v * v_p / (x_p - x)
+            c = f - s_b / v
+            return np.where(c > 0.0, b - s_b / c, np.nan)
+        width = b - a
+        u, u_p = x - a, x_p - a
+        if slope is None:
+            s_a = u * u_p * (f * v - f_p * v_p) / (width * (x - x_p))
+            s_b = v * v_p * (f_p * u_p - f * u) / (width * (x - x_p))
+            c = 0.0
+        else:
+            # the model's slopes S / (x - pole)^2 at x split f' in two parts
+            secant = (f - f_p) / (x - x_p)
+            part_a = u_p * (slope * v - secant * v_p) / (width * (x_p - x))
+            part_b = -slope - part_a
+            s_a, s_b = part_a * u * u, part_b * v * v
+            c = f - part_a * u - part_b * v
+        bq = s_a + s_b - c * width
+        root = np.sqrt(bq * bq + 4.0 * c * s_a * width)  # nan: the model has no real zero
+        return np.where(bq > 0.0, a + 2.0 * s_a * width / (bq + root),
+                        np.where(c != 0.0, a + (root - bq) / (2.0 * c), np.nan))
 
 
-def _hybrid_root(f_and_slope, a, b, lo: float, f_lo: float, hi: float, f_hi: float,
-                 tol: float):
-    """Bracketed root of decreasing f on (lo, hi), between poles a < b.
+def _hybrid_root(f_and_slope, a, b, lo, f_lo, hi, f_hi, tol: float):
+    """Bracketed roots of decreasing functions, one per element: element k
+    has its root in (lo[k], hi[k]), between poles a[k] < b[k].
 
-    f_and_slope(x) returns (f(x), f'(x)); a is None when no pole bounds the
-    interval on the left (below ground). Each step moves to the zero of the
-    rational model of _model_root, which contains the gap's poles: the
-    first from the two bracket values, every later one from value and
-    slope at the latest iterate and the value at the one before. Returns
-    (root, residual): the residual is |f/f'| when that falls to tol, else
+    f_and_slope(x, k) returns (f(x), f'(x)) for the elements indexed by the
+    array k at their points x; a is None when no pole bounds the intervals
+    on the left (below ground). Each step moves to the zero of the rational
+    model of _model_root, which contains the gap's poles: the first from
+    the two bracket values, every later one from value and slope at the
+    latest iterate and the value at the one before. Returns the arrays
+    (roots, residuals): a residual is |f/f'| when that falls to tol, else
     the bracket width once the bracket is narrower than tol, or than 4 ulps
     where floats are coarser (the root lies inside it). The bracket
     invariant f(lo) > 0 > f(hi) is maintained; a model zero outside the
     open bracket, or none, and every step after the 48th, fall back to
-    bisection, so convergence is guaranteed.
+    bisection, so convergence is guaranteed. Every element takes the steps
+    it would take alone, in the same arithmetic, and leaves the batch when
+    it converges.
     """
-    if not (f_lo > 0.0 > f_hi):
+    lo, f_lo, hi, f_hi, b = (np.array(v, dtype=float) for v in (lo, f_lo, hi, f_hi, b))
+    bad = np.flatnonzero(~((f_lo > 0.0) & (f_hi < 0.0)))
+    if bad.size:
+        k = bad[0]
         raise RootBracketError(
-            f"invalid bracket [{lo}, {hi}]: f = ({f_lo:.3e}, {f_hi:.3e})"
+            f"invalid bracket [{lo[k]}, {hi[k]}]: f = ({f_lo[k]:.3e}, {f_hi[k]:.3e})"
         )
+    a = None if a is None else np.array(a, dtype=float)
+    roots, residuals = np.empty(lo.size), np.empty(lo.size)
+    active = np.arange(lo.size)
     x_prev, f_prev = lo, f_lo
     x_cur, f_cur, slope = hi, f_hi, None
     for step in range(200):
+        if not active.size:
+            return roots, residuals
         # a model still running after 48 steps has stalled: bisection takes over
-        x_new = _model_root(a, b, x_cur, f_cur, slope, x_prev, f_prev) if step < 48 else math.nan
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        f_new, slope = f_and_slope(x_new)
+        x_new = _model_root(a, b, x_cur, f_cur, slope, x_prev, f_prev) if step < 48 else np.nan
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        f_new, slope = f_and_slope(x_new, active)
         x_prev, f_prev = x_cur, f_cur
         x_cur, f_cur = x_new, f_new
-        if f_new > 0.0:
-            lo, f_lo = x_new, f_new
-        elif f_new < 0.0:
-            hi, f_hi = x_new, f_new
-        else:
-            return x_new, 0.0
-        resid = abs(f_cur / slope) if slope != 0.0 else math.inf
-        if resid <= tol:
-            return x_cur, resid
-        if hi - lo <= max(tol, 4.0 * math.ulp(x_cur)):
-            return x_cur, hi - lo
-    raise RootBracketError(f"root iteration did not converge in [{lo}, {hi}]")
+        lo = np.where(f_new > 0.0, x_new, lo)
+        hi = np.where(f_new < 0.0, x_new, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            resid = np.abs(f_new / slope)  # inf where the slope is 0
+        resid[f_new == 0.0] = 0.0
+        converged = resid <= tol
+        width = hi - lo
+        narrow = ~converged & (width <= np.maximum(tol, 4.0 * np.spacing(np.abs(x_new))))
+        done = converged | narrow
+        roots[active[done]] = x_new[done]
+        residuals[active[done]] = np.where(converged, resid, width)[done]
+        keep = ~done
+        active, lo, hi, b = active[keep], lo[keep], hi[keep], b[keep]
+        x_prev, f_prev, x_cur, f_cur, slope = (x_prev[keep], f_prev[keep], x_cur[keep],
+                                               f_cur[keep], slope[keep])
+        if a is not None:
+            a = a[keep]
+    if not active.size:
+        return roots, residuals
+    raise RootBracketError(f"root iteration did not converge in [{lo[0]}, {hi[0]}]")
 
 
 def _block_series(evaluator: GreensEvaluator, lo: float, hi: float, n_gaps: int,
@@ -227,72 +245,84 @@ def _block_series(evaluator: GreensEvaluator, lo: float, hi: float, n_gaps: int,
     return evaluator.local(lo, hi, count)
 
 
-def _secular_curves(evaluator: GreensEvaluator):
-    """(eigenvalues, curve): the two evaluations of the secular matrix M.
-
-    eigenvalues(w) returns the sorted eigenvalues of M(w) and M(w) itself;
-    curve(t) returns w -> (sorted eigenvalue t of M(w), its slope), with M
-    and M' summed from one kernel, without the pole check: probes come
-    within 4 ulps of a pole. evaluator may be a near/far view
-    (GreensEvaluator.local). For one scatterer M is the scalar diag - inv
-    with slope diag', summed by diag_orders: going through secular_orders
-    and eigh costs about a quarter of the one-scatterer CLI throughput.
-    Otherwise the slope is the Hellmann-Feynman v^T M' v of eigenvector v.
-    """
-    if evaluator.n == 1:
-        inv = float(evaluator.scatterers.inv_couplings[0])
-
-        def scalar(w: float):
-            m = np.array([[evaluator.diag_orders(0, w)[0] - inv]])
-            return m[0], m
-
-        def f_and_slope(w: float):
-            value, slope = evaluator.diag_orders(0, w, 0, 2)
-            return float(value - inv), float(slope)
-
-        return scalar, lambda t: f_and_slope
-
-    def eigenvalues(w: float):
-        m = evaluator.secular_orders(w)[0]
-        return np.linalg.eigvalsh(m), m
-
-    def curve(t: int):
-        def value_and_slope(w: float):
-            m, m_slope = evaluator.secular_orders(w, 0, 2)
-            vals, vecs = np.linalg.eigh(m)
-            v = vecs[:, t]
-            return float(vals[t]), float(v @ m_slope @ v)
-
-        return value_and_slope
-
-    return eigenvalues, curve
+def _eigenvalues(series, x):
+    """(sorted eigenvalues of M(x), M(x)) for an array of points x, with M the
+    secular matrix summed by series (the evaluator or a near/far view) without
+    the pole check: probes come within 4 ulps of a pole. For one scatterer M
+    is diag - inv, summed by diag_orders (see _curves)."""
+    if series.n == 1:
+        m = (series.diag_orders(0, x)[0] - series.scatterers.inv_couplings[0])[..., None, None]
+        return m[..., 0], m
+    m = series.secular_orders(x)[0]
+    return np.linalg.eigvalsh(m), m
 
 
-def _pole_probe(evaluator: GreensEvaluator, series, eigenvalues, pole: float, start: float,
-                sign: float):
-    """Probe M at x = pole + sign * offset until no root lies closer.
+def _curves(series, curve):
+    """f_and_slope of _hybrid_root for the sorted eigenvalue curves of M:
+    element k follows curve[k]. M and M' come from one kernel, and the slope
+    is the Hellmann-Feynman v^T M' v of eigenvector v; all points share one
+    eigh on the stack of their matrices. For one scatterer M is diag - inv
+    with slope diag', the same values bit for bit, summed by diag_orders:
+    going through secular_orders and eigh costs about 7 % of the
+    one-scatterer solve throughput at 100k modes."""
+    if series.n == 1:
+        inv = series.scatterers.inv_couplings[0]
+
+        def scalar(x, k):
+            value, slope = series.diag_orders(0, x, 0, 2)
+            return value - inv, slope
+
+        return scalar
+
+    def f_and_slope(x, k):
+        m, m_slope = series.secular_orders(x, 0, 2)
+        vals, vecs = np.linalg.eigh(m)
+        rows, t = np.arange(x.size), curve[k]
+        v = vecs[rows, :, t]
+        return vals[rows, t], np.vecdot(np.vecmat(v, m_slope), v)
+
+    return f_and_slope
+
+
+def _pole_probe(evaluator: GreensEvaluator, series, poles, starts, signs):
+    """Probe M at x = pole + sign * offset until no root lies closer, for
+    every pole end of a block.
 
     Returns (x, sorted eigenvalues of M(x), number of roots between x and
-    the pole). The offset starts at start and shrinks toward the pole;
-    microscopic mode weights push roots very close in. The last probe sits
-    4 ulps from the pole, never closer: roots still missing there lie
+    the pole), one row per end. The offset starts at start and shrinks
+    toward the pole; microscopic mode weights push roots very close in.
+    The first probes of all the ends are one evaluation. The last probe
+    sits 4 ulps from the pole, never closer: roots still missing there lie
     within those 4 ulps. A probe whose negative count is at its extreme
-    (none right of the pole, all N left of it) misses nothing. Otherwise
-    the count at the pole decides: the pole's weight rows U, one per mode
-    at its energy, make rank U eigenvalues of M diverge, to +inf on its
-    right and -inf on its left; the others tend to those of the regular
-    part of M at the pole, compressed onto the complement of the span of
-    U. That compression of M itself holds no pole term, so its first-order
-    extrapolation from x fixes the rest of the count. The mode values, the
-    pole weight floor of the rank and the energies come from evaluator;
-    series (the evaluator or its near/far view) supplies only M'.
+    (none right of the pole, all N left of it) misses nothing, and most
+    stop there. Otherwise the count at the pole decides: the pole's weight
+    rows U, one per mode at its energy, make rank U eigenvalues of M
+    diverge, to +inf on its right and -inf on its left; the others tend to
+    those of the regular part of M at the pole, compressed onto the
+    complement of the span of U. That compression of M itself holds no
+    pole term, so its first-order extrapolation from x fixes the rest of
+    the count. The mode values, the pole weight floor of the rank and the
+    energies come from evaluator; series (the evaluator or its near/far
+    view) supplies M and M'.
     """
+    x = poles + signs * np.maximum(starts, 4.0 * np.spacing(np.abs(poles)))
+    vals, m = _eigenvalues(series, x)
+    missing = np.zeros(x.size, dtype=int)
+    extreme = np.where(signs > 0.0, 0, evaluator.n)
+    for k in np.flatnonzero(np.count_nonzero(vals < 0.0, axis=1) != extreme):
+        x[k], vals[k], missing[k] = _descend(evaluator, series, float(poles[k]),
+                                             float(starts[k]), float(signs[k]), x[k], vals[k], m[k])
+    return x, vals, missing
+
+
+def _descend(evaluator: GreensEvaluator, series, pole: float, d: float, sign: float,
+             x: float, vals, m):
+    """_pole_probe's shrink loop for one end, from its first probe x at
+    offset d, with eigenvalues vals of M(x) = m."""
     extreme = 0 if sign > 0.0 else evaluator.n
     floor = 4.0 * math.ulp(pole)
-    d, q = start, None
+    q = None
     while True:
-        x = pole + sign * max(d, floor)
-        vals, m = eigenvalues(x)
         count = int(np.count_nonzero(vals < 0.0))
         missing = 0
         if count != extreme:
@@ -310,6 +340,46 @@ def _pole_probe(evaluator: GreensEvaluator, series, eigenvalues, pole: float, st
         if not missing or d <= floor:
             return x, vals, missing
         d /= 32.0
+        x = pole + sign * max(d, floor)
+        vals, m = _eigenvalues(series, x)
+
+
+def _solve_block(evaluator: GreensEvaluator, series, block: list, tol: float) -> list:
+    """The roots of one block of (a, b, kind) gaps, gap by gap, summed through
+    series: one _pole_probe for all its pole ends and one _hybrid_root for all
+    its crossing curves. A below-ground block is that one gap."""
+    a, b = np.array([gap[0] for gap in block]), np.array([gap[1] for gap in block])
+    kind = block[0][2]
+    start = np.minimum(evaluator.pole_exclusion, 1e-3 * (b - a))
+    n = a.size
+    if kind == _BELOW:  # a is the window edge, not a pole
+        lo, (vals_lo, _), missing_lo = a, _eigenvalues(series, a), np.zeros(1, dtype=int)
+        hi, vals_hi, missing_hi = _pole_probe(evaluator, series, b, start, np.full(1, -1.0))
+    else:
+        x, vals, missing = _pole_probe(evaluator, series, np.concatenate([a, b]),
+                                       np.tile(start, 2), np.repeat([1.0, -1.0], n))
+        lo, hi, vals_lo, vals_hi = x[:n], x[n:], vals[:n], vals[n:]
+        missing_lo, missing_hi = missing[:n], missing[n:]
+    first = np.count_nonzero(vals_lo < 0.0, axis=1)
+    stop = np.count_nonzero(vals_hi < 0.0, axis=1)
+    # (gap, curve) of every crossing curve, gap by gap
+    g, t = np.array([(k, c) for k in range(n) for c in range(first[k], stop[k])],
+                    dtype=int).reshape(-1, 2).T
+    f_lo, f_hi = vals_lo[g, t], vals_hi[g, t]
+    # a zero is not yet negative: the root is lo
+    roots, resids, run = lo[g], np.zeros(g.size), f_lo != 0.0
+    roots[run], resids[run] = _hybrid_root(
+        _curves(series, t[run]), None if kind == _BELOW else a[g[run]], b[g[run]],
+        lo[g[run]], f_lo[run], hi[g[run]], f_hi[run], tol)
+    crossings = iter(zip(roots.tolist(), resids.tolist()))
+    levels = []
+    for (gap_a, gap_b, _), lo_k, hi_k, m_lo, m_hi, crossing in zip(
+            block, lo.tolist(), hi.tolist(), missing_lo.tolist(), missing_hi.tolist(),
+            (stop - first).tolist()):
+        found = ([(lo_k, lo_k - gap_a)] * m_lo + [(hi_k, gap_b - hi_k)] * m_hi
+                 + [next(crossings) for _ in range(crossing)])
+        levels += [PerturbedLevel(root, (gap_a, gap_b), kind, resid) for root, resid in found]
+    return levels
 
 
 def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list[PerturbedLevel]:
@@ -323,7 +393,7 @@ def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list
     Coincident roots (degenerate zero eigenvalues) come once per curve.
     The gaps are walked in blocks of LOCAL_BLOCK_GAPS, each summed through
     its own near/far view (_block_series); the below-ground gap is a block
-    of its own.
+    of its own, and each block is solved at once (_solve_block).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
@@ -333,33 +403,18 @@ def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list
             f"window top {window.hi:.6g} is beyond 90% of the truncated spectrum "
             f"({e_top:.6g}); raise n_max"
         )
-    gaps = [(a, b, _BETWEEN) for a, b in _gaps(evaluator, window)]
+    poles = evaluator.energies[_pole_mask(evaluator)]
+    gaps = [(a, b, _BETWEEN) for a, b in _gaps(evaluator, poles, window)]
     blocks = [gaps[k:k + LOCAL_BLOCK_GAPS] for k in range(0, len(gaps), LOCAL_BLOCK_GAPS)]
-    first_pole = float(evaluator.energies[_pole_mask(evaluator).argmax()])
-    if window.lo < first_pole - 4.0 * evaluator.pole_exclusion:
+    if poles.size and window.lo < poles[0] - 4.0 * evaluator.pole_exclusion:
         # a block of its own: it may reach far below the first pole
-        blocks.insert(0, [(window.lo, first_pole, _BELOW)])
+        blocks.insert(0, [(window.lo, float(poles[0]), _BELOW)])
+    del poles  # a float per mode, not to be held through the view builds
 
     levels = []
     for block in blocks:
         series = _block_series(evaluator, block[0][0], block[-1][1], len(block))
-        eigenvalues, curve = _secular_curves(series)
-        for a, b, kind in block:
-            start = min(evaluator.pole_exclusion, 1e-3 * (b - a))
-            if kind == _BELOW:  # a is the window edge, not a pole
-                lo, (vals_lo, _), missing_lo = a, eigenvalues(a), 0
-            else:
-                lo, vals_lo, missing_lo = _pole_probe(evaluator, series, eigenvalues, a, start, 1.0)
-            hi, vals_hi, missing_hi = _pole_probe(evaluator, series, eigenvalues, b, start, -1.0)
-            roots = [(lo, lo - a)] * missing_lo + [(hi, b - hi)] * missing_hi
-            for t in range(np.count_nonzero(vals_lo < 0.0), np.count_nonzero(vals_hi < 0.0)):
-                if vals_lo[t] == 0.0:  # a zero is not yet negative: the root is lo
-                    roots.append((lo, 0.0))
-                else:
-                    roots.append(_hybrid_root(curve(t), None if kind == _BELOW else a, b,
-                                              lo, float(vals_lo[t]), hi, float(vals_hi[t]),
-                                              tol))
-            levels += [PerturbedLevel(root, (a, b), kind, resid) for root, resid in roots]
+        levels += _solve_block(evaluator, series, block, tol)
 
     levels = [lvl for lvl in levels if window.contains(lvl.omega)]
     levels.sort(key=lambda lvl: lvl.omega)

@@ -11,7 +11,6 @@ inside each unperturbed gap.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -268,7 +267,9 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
     inflection is its one zero: probed next to both poles as the level
     solver does, and found by the solver's root iteration to
     DEFAULT_ROOT_TOL, with the series summed through one near/far view per
-    block of gaps, as in the solver. The survey records the resolvent value and slope
+    block of gaps, as in the solver. Each block is surveyed at once: one
+    evaluation for its edge probes, one root iteration for its zeros and one
+    for the values there. The survey records the resolvent value and slope
     there next to the logarithmic law they are predicted to follow.
 
     Gaps whose probes do not bracket a zero (a mode with no weight at the
@@ -297,30 +298,31 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
 
     rows = []
     skipped = []
-    for k in range(n_gaps):
-        if k % LOCAL_BLOCK_GAPS == 0:
-            block = min(LOCAL_BLOCK_GAPS, n_gaps - k)
-            series = _block_series(evaluator, float(inside[k]), float(inside[k + block]), block, 4)
-            curvature = functools.partial(series.diag_orders, 0, first=2, count=2)
-        a = float(inside[k])
-        b = float(inside[k + 1])
-        start = min(evaluator.pole_exclusion, 1e-3 * (b - a))
+    for k0 in range(0, n_gaps, LOCAL_BLOCK_GAPS):
+        ends = inside[k0:k0 + LOCAL_BLOCK_GAPS + 1]
+        a, b = ends[:-1], ends[1:]
+        series = _block_series(evaluator, float(a[0]), float(b[-1]), a.size, 4)
+        start = np.minimum(evaluator.pole_exclusion, 1e-3 * (b - a))
         lo, hi = a + start, b - start
-        if not a < lo < hi < b:
-            skipped.append(f"gap [{a:.9g}, {b:.9g}] too narrow to probe inside")
-            continue
-        f_lo, f_hi = curvature(lo)[0], curvature(hi)[0]
-        if not (f_lo > 0.0 > f_hi):
-            # zero-weight mode on one side: no pole, no curvature flip
-            skipped.append(
-                f"gap [{a:.9g}, {b:.9g}] shows no curvature sign change")
-            continue
-        omega = float(_hybrid_root(curvature, a, b, lo, f_lo, hi, f_hi, DEFAULT_ROOT_TOL)[0])
+        probed = (a < lo) & (lo < hi) & (hi < b)
+        f_lo, f_hi = np.split(series.diag_orders(0, np.concatenate([lo[probed], hi[probed]]),
+                                                 2)[0], 2)
+        # zero-weight mode on one side: no pole, no curvature flip
+        flips = np.zeros(a.size, dtype=bool)
+        flips[probed] = (f_lo > 0.0) & (f_hi < 0.0)
+        for k in np.flatnonzero(~flips):
+            reason = "too narrow to probe inside" if not probed[k] else "shows no curvature sign change"
+            skipped.append(f"gap [{a[k]:.9g}, {b[k]:.9g}] {reason}")
+        solved = flips[probed]
+        omega, _ = _hybrid_root(lambda x, _: series.diag_orders(0, x, 2, 2), a[flips], b[flips],
+                                lo[flips], f_lo[solved], hi[flips], f_hi[solved],
+                                DEFAULT_ROOT_TOL)
         gbar, slope = series.diag_orders(0, omega, 0, 2)
-        gbar, slope = float(gbar), abs(float(slope))
-        log_ref = m / (2.0 * math.pi) * math.log(omega / lam)
-        rows.append(InflectionRow(omega=omega, gbar=gbar,
-                                  log_reference=log_ref, abs_slope=slope,
-                                  gap_lo=a, gap_hi=b))
+        for w, g, slope_w, gap_a, gap_b in zip(omega.tolist(), gbar.tolist(),
+                                               np.abs(slope).tolist(), a[flips].tolist(),
+                                               b[flips].tolist()):
+            rows.append(InflectionRow(omega=w, gbar=g,
+                                      log_reference=m / (2.0 * math.pi) * math.log(w / lam),
+                                      abs_slope=slope_w, gap_lo=gap_a, gap_hi=gap_b))
     return InflectionSurvey(rows=tuple(rows), skipped=tuple(skipped),
                             mean_spacing=evaluator.mean_spacing)

@@ -456,6 +456,28 @@ def _local_case(golden, big_table, data):
     return ev, float(ev.energies[first]), float(ev.energies[last])
 
 
+def test_diagonal_entry_does_not_depend_on_other_scatterers(golden, generic_point, second_point,
+                                                           big_table):
+    # every series sums each weight column on its own, so adding a second
+    # scatterer leaves the first one's diagonal entry unchanged, bit for bit,
+    # in the direct sums and through a near/far view of the same block
+    one = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=30_000)
+    two = make_evaluator(golden, big_table, [generic_point, second_point], [0.3, -0.4],
+                         n_max=30_000)
+    assert one.counterterm(0) == two.counterterm(0)
+    assert one.deficiency_norm_sq(0) == two.deficiency_norm_sq(0)
+    e = one.energies
+    lo, hi = float(e[5_000]), float(e[5_040])
+    view_one, view_two = one.local(lo, hi), two.local(lo, hi)
+    assert isinstance(view_one, LocalGreens) and isinstance(view_two, LocalGreens)
+    for (a, b), points in (((one, two), 50), ((view_one, view_two), 1_000)):
+        omegas = np.linspace(lo, hi, points + 2)[1:-1]
+        for w in omegas[:50]:
+            assert a.diag_orders(0, w, 0, 2) == b.diag_orders(0, w, 0, 2)
+        for x, y in zip(a.diag_orders(0, omegas, 0, 2), b.diag_orders(0, omegas, 0, 2)):
+            assert np.array_equal(x, y)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_local_view_matches_direct_sums(golden, big_table, data):

@@ -8,14 +8,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from pointbilliard import ValidationError, greens
+from pointbilliard import ValidationError, greens, solver
 from pointbilliard.basis import BilliardSpec, mode_table_with_count
 from pointbilliard.errors import PoleProximityError
 from pointbilliard.solver import (
     EnergyWindow,
     PerturbedLevel,
+    _block_series,
     _gaps,
     _hybrid_root,
+    _pole_mask,
+    _solve_block,
     build_eigenfunction,
     solve_multi,
     solve_single,
@@ -339,7 +342,7 @@ def test_solve_multi_counts_roots_through_degeneracies(big_table, square_table, 
         return int(np.sum(np.linalg.eigvalsh(m) < 0.0))
 
     placed = 0
-    for a, b in _gaps(ev, window):
+    for a, b in _gaps(ev, ev.energies[_pole_mask(ev)], window):
         inside = np.sort(roots[(roots > a) & (roots < b)])
         placed += inside.size
 
@@ -444,10 +447,49 @@ def test_block_roots_match_one_gap_windows(golden, generic_point, big_table, n_m
     ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=n_max)
     window = window_over_levels(ev, first, first + span)
     blocked = np.array([lv.omega for lv in solve_single(ev, window)])
-    gaps = list(_gaps(ev, window))
+    gaps = list(_gaps(ev, ev.energies[_pole_mask(ev)], window))
     assert blocked.size == len(gaps) == span
     direct = np.array([lv.omega for a, b in gaps for lv in solve_single(ev, EnergyWindow(a, b))])
     assert np.max(np.abs(blocked - direct)) <= 1e-10
+
+
+NODAL = (0.5 + 3e-7, GENERIC_Y_FRACTION)
+
+
+@pytest.mark.parametrize("first, others, start", [
+    ((GENERIC_X, GENERIC_Y_FRACTION), [], 1_500),
+    ((GENERIC_X, GENERIC_Y_FRACTION), [(SECOND_X, SECOND_Y_FRACTION)], 1_500),
+    (NODAL, [], 2_400),
+    (NODAL, [(SECOND_X, SECOND_Y_FRACTION)], 2_400),
+])
+def test_block_roots_do_not_depend_on_batch(golden, big_table, monkeypatch, first, others,
+                                            start):
+    # a 40-gap block solved at once through one near/far view against each of
+    # its gaps solved alone, as a batch of one, through the same view.  3e-7
+    # off the nodal line x = 1/2 every even-mx mode keeps a tiny weight, so
+    # the probes next to those poles shrink toward them; at N = 2 a few steps
+    # also fall back to bisection
+    positions = [(fx * golden.lx, fy * golden.ly) for fx, fy in [first] + others]
+    ev = make_evaluator(golden, big_table, positions, [0.3] * len(positions))
+    poles = ev.energies[_pole_mask(ev)]
+    window = EnergyWindow(float(poles[start]), float(poles[start + 40]))
+    block = [(a, b, "between-poles") for a, b in _gaps(ev, poles, window)]
+    series = _block_series(ev, block[0][0], block[-1][1], len(block))
+    assert len(block) == 40 and isinstance(series, greens.LocalGreens)
+    shrinks = []
+    descend = solver._descend
+
+    def counted(*args):
+        shrinks.append(args[2])
+        return descend(*args)
+
+    monkeypatch.setattr(solver, "_descend", counted)
+    together = _solve_block(ev, series, block, 1e-9)
+    alone = [lv for gap in block for lv in _solve_block(ev, series, [gap], 1e-9)]
+    assert together
+    assert [(lv.omega, lv.residual) for lv in together] == [(lv.omega, lv.residual)
+                                                          for lv in alone]
+    assert shrinks or first != NODAL
 
 
 def test_truncation_shift_bound_is_positive_and_small(ev1_30k):
@@ -488,47 +530,67 @@ def test_interlacing_property_random_windows(ev1, start, span):
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=st.floats(-1e3, 1e4), width=st.floats(0.1, 100.0), c=st.floats(-100.0, 100.0),
-       r_a=st.floats(1e-3, 100.0), r_b=st.floats(1e-3, 100.0), one_pole=st.booleans())
-def test_hybrid_root_solves_its_own_model_within_two_evaluations(a, width, c, r_a, r_b,
-                                                                 one_pole):
+@given(models=st.lists(st.tuples(st.floats(-1e3, 1e4), st.floats(0.1, 100.0),
+                                 st.floats(-100.0, 100.0), st.floats(1e-3, 100.0),
+                                 st.floats(1e-3, 100.0)), min_size=1, max_size=8),
+       one_pole=st.booleans())
+def test_hybrid_root_solves_its_own_model_within_two_evaluations(models, one_pole):
     # f = C + S_a/(x - a) + S_b/(x - b) is the step's model: the first
     # evaluation gives value and slope, and the fit through them and one
-    # end value is exact; below ground (no left pole) S_a = 0
+    # end value is exact; below ground (no left pole) S_a = 0.  Each model
+    # of a batch converges on its own, as it does in a batch of one.
+    a, width, c, r_a, r_b = (np.array(col) for col in zip(*models))
     b = a + width
-    s_a, s_b = (0.0 if one_pole else r_a * width), r_b * width
-    calls = []
+    s_a, s_b = (0.0 * r_a if one_pole else r_a * width), r_b * width
 
-    def f(x):
-        return c + (s_a / (x - a) if s_a else 0.0) + s_b / (x - b)
-
-    def f_and_slope(x):
-        calls.append(x)
-        return f(x), -(s_a / (x - a) ** 2 if s_a else 0.0) - s_b / (x - b) ** 2
+    def f(x, k):
+        pole_a = s_a[k] / (x - a[k]) if not one_pole else 0.0
+        return c[k] + pole_a + s_b[k] / (x - b[k])
 
     lo, hi = (a if one_pole else a + 1e-6 * width), b - 1e-6 * width
-    assume(f(lo) > 1e-6 and f(hi) < -1e-6)
+    every = np.arange(len(models))
+    keep = (f(lo, every) > 1e-6) & (f(hi, every) < -1e-6)
+    assume(keep.any())
+    a, b, c, s_a, s_b, lo, hi = (v[keep] for v in (a, b, c, s_a, s_b, lo, hi))
     tol = 1e-9
-    root, resid = _hybrid_root(f_and_slope, None if one_pole else a, b,
-                               lo, f(lo), hi, f(hi), tol)
-    assert len(calls) <= 2
-    assert lo < root < hi
-    assert resid <= tol
+
+    def solve(k):
+        calls = []
+
+        def f_and_slope(x, active):
+            calls.extend(k[active].tolist())
+            pole_a = s_a[k][active] / (x - a[k][active]) ** 2 if not one_pole else 0.0
+            return f(x, k[active]), -pole_a - s_b[k][active] / (x - b[k][active]) ** 2
+
+        root, resid = _hybrid_root(f_and_slope, None if one_pole else a[k], b[k],
+                                   lo[k], f(lo[k], k), hi[k], f(hi[k], k), tol)
+        return root, resid, calls
+
+    batch = np.arange(a.size)
+    roots, resids, calls = solve(batch)
+    for k in batch:
+        assert calls.count(k) <= 2
+        alone_root, alone_resid, _ = solve(np.array([k]))
+        assert (alone_root[0], alone_resid[0]) == (roots[k], resids[k])
+    assert np.all((lo < roots) & (roots < hi))
+    assert np.all(resids <= tol)
 
 
 def test_single_scatterer_levels_cost_few_series_sums(golden, generic_point, big_table,
                                                       monkeypatch):
     # the two end probes of a gap sum diag, each step sums value and slope
     # together (a fused call, two orders), whether through the evaluator or
-    # a near/far view; the checked entry points go through these two
+    # a near/far view; the checked entry points go through these two.  A
+    # call evaluates an array of points at once, so each counts its points.
     counts = {("diag_orders", 1): 0, ("diag_orders", 2): 0,
               ("secular_orders", 1): 0, ("secular_orders", 2): 0}
     for name in ("diag_orders", "secular_orders"):
         method = getattr(greens._SeriesForms, name)
 
-        def counted(*args, _method=method, _name=name, **kwargs):
-            result = _method(*args, **kwargs)
-            counts[_name, len(result)] += 1
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            result = _method(self, *args, **kwargs)
+            omega = args[1] if _name == "diag_orders" else args[0]
+            counts[_name, len(result)] += np.size(omega)
             return result
 
         monkeypatch.setattr(greens._SeriesForms, name, counted)
@@ -537,7 +599,7 @@ def test_single_scatterer_levels_cost_few_series_sums(golden, generic_point, big
     kernel = greens._sums
 
     def summed(omega, energies, *args, **kwargs):
-        terms.append(energies.size)
+        terms.append(np.size(omega) * energies.size)
         return kernel(omega, energies, *args, **kwargs)
 
     monkeypatch.setattr(greens, "_sums", summed)
