@@ -34,17 +34,7 @@ from .extension import (
     unitarity_defect,
 )
 from .greens import GreensAccuracy, GreensEvaluator, ScattererSet
-from .rankone import (
-    ApproximateSigma,
-    ReductionState,
-    SigmaDecomposition,
-    approximate_sigma,
-    decompose,
-    initial_state,
-    reduce_full,
-    reduce_full_batch,
-    reduce_step,
-)
+from .rankone import reduce_full, reduce_full_batch
 from .solver import (
     DEFAULT_ROOT_TOL,
     EigenfunctionRep,

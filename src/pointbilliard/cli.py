@@ -26,7 +26,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,12 +269,17 @@ def cmd_spectrum(config: RunConfig) -> ResultEnvelope:
                           rows=rows, diagnostics=diagnostics)
 
 
-def _stats_payload(config: RunConfig, levels: np.ndarray, bins: int):
-    """Histogram rows plus the KS / band diagnostics for a level sequence."""
+def _unfolded(config: RunConfig, levels: np.ndarray):
+    """The unfolded spectrum of levels, refusing samples too small for KS."""
     if levels.size - 1 < statsmod.SMALL_SAMPLE:
         raise ValidationError(f"insufficient sample: {max(levels.size - 1, 0)} spacings, "
                               f"need >= {statsmod.SMALL_SAMPLE}")
-    unfolded = statsmod.unfold(levels, config.billiard)
+    return statsmod.unfold(levels, config.billiard)
+
+
+def _stats_payload(config: RunConfig, levels: np.ndarray, bins: int):
+    """Histogram rows plus the KS / band diagnostics for a level sequence."""
+    unfolded = _unfolded(config, levels)
     hist = statsmod.spacing_distribution(unfolded, bins=bins)
     spacings = unfolded.spacings()
     ks_poisson = statsmod.ks_distance(spacings, "poisson")
@@ -320,9 +324,8 @@ def cmd_stats(config: RunConfig, levels=None, bins: int = 24) -> ResultEnvelope:
                           rows=rows, diagnostics=diagnostics)
 
 
-def cmd_sweep(config: RunConfig, grid, workers: int = 1,
-              bins: int = 24) -> ResultEnvelope:
-    """Repeat the stats pipeline over a grid of inverse couplings.
+def cmd_sweep(config: RunConfig, grid, workers: int = 1) -> ResultEnvelope:
+    """Level count and KS distances of `stats` over a grid of inverse couplings.
 
     Rows are independent and solved concurrently; failures are recorded
     per row and the sweep continues.  Single scatterer only: for several
@@ -344,10 +347,10 @@ def cmd_sweep(config: RunConfig, grid, workers: int = 1,
                              table=table)
         levels = solve_single(ev, window, tol=config.tol)
         omegas = np.array([lv.omega for lv in levels])
-        cfg = dataclasses.replace(config, scatterers=scat)
-        _, diag = _stats_payload(cfg, omegas, bins)
-        return {"vbar_inv": inv, "n_levels": diag["n_levels"],
-                "ks_poisson": diag["ks_poisson"], "ks_goe": diag["ks_goe"],
+        spacings = _unfolded(config, omegas).spacings()
+        return {"vbar_inv": inv, "n_levels": int(omegas.size),
+                "ks_poisson": statsmod.ks_distance(spacings, "poisson"),
+                "ks_goe": statsmod.ks_distance(spacings, "goe"),
                 "status": "ok"}
 
     def guarded(inv: float) -> dict:
@@ -359,6 +362,8 @@ def cmd_sweep(config: RunConfig, grid, workers: int = 1,
 
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    from concurrent.futures import ThreadPoolExecutor  # only sweep pays its import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = tuple(pool.map(guarded, grid))
     n_failed = sum(1 for r in rows if r["status"] != "ok")
@@ -520,33 +525,42 @@ def _parse_grid(text: str) -> list:
 
 
 def read_levels(path: str) -> np.ndarray:
-    """Levels from a JSON envelope, a spectrum CSV, or one float per line."""
+    """Levels from a spectrum envelope (JSON or CSV) or one float per line.
+
+    Envelopes of any other kind are refused: their rows hold no levels.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read levels {path!r}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    spectrum = f"pointbilliard.spectrum/{SCHEMA_VERSION}"
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
+            schema = doc["schema"]
             values = [row["omega"] for row in doc["rows"]]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValidationError(
                 f"levels file {path!r} is JSON but not a spectrum envelope") from exc
-        return np.array(values, dtype=float)
-    values = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        first = line.split(",")[0].strip()
-        try:
-            values.append(float(first))
-        except ValueError:
-            continue  # header line
-    if not values:
-        raise ValidationError(f"no numeric levels found in {path!r}")
+    else:
+        lines = [line.strip() for line in text.splitlines()]
+        # a plain list has no schema line and counts as a spectrum
+        schema = next((line.partition(":")[2].strip() for line in lines
+                       if line.startswith("# schema:")), spectrum)
+        values = []
+        for line in lines:
+            if not line or line.startswith("#"):
+                continue
+            first = line.split(",")[0].strip()
+            try:
+                values.append(float(first))
+            except ValueError:
+                continue  # header line
+        if not values:
+            raise ValidationError(f"no numeric levels found in {path!r}")
+    if schema != spectrum:
+        raise ValidationError(f"levels file {path!r} has schema {schema!r}, not {spectrum!r}")
     return np.array(values, dtype=float)
 
 
@@ -600,8 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="START:STOP:COUNT or comma-separated values")
     p.add_argument("--workers", type=int, default=1, metavar="W",
                    help="concurrent rows (default 1)")
-    p.add_argument("--bins", type=int, default=24,
-                   help="histogram bins (default 24)")
 
     p = sub.add_parser("survey", help="resolvent inflection survey")
     _add_common(p)
@@ -627,7 +639,7 @@ def main(argv=None) -> int:
             envelope = cmd_stats(config, levels=levels, bins=args.bins)
         elif args.command == "sweep":
             envelope = cmd_sweep(config, _parse_grid(args.grid),
-                                 workers=args.workers, bins=args.bins)
+                                 workers=args.workers)
         elif args.command == "survey":
             envelope = cmd_survey(config, min_gaps=args.min_gaps)
         else:

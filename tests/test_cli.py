@@ -263,6 +263,21 @@ def test_stats_plain_text_levels(tmp_path, level_energy):
             == json.loads(inline)["diagnostics"]["ks_poisson"])
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stats_refuses_levels_from_other_envelopes(tmp_path, level_energy, capsys, fmt):
+    # survey rows carry an omega column too, but they are inflection
+    # energies, not levels; spectrum files and plain lists load as before
+    cfg = write_config(tmp_path, window=(level_energy(200), level_energy(330)))
+    rc, _ = run_cli(["survey", "--config", cfg, "--format", fmt], tmp_path,
+                    name=f"survey.{fmt}")
+    assert rc == 0
+    rc = cli.main(["stats", "--config", cfg, "--levels", str(tmp_path / f"survey.{fmt}"),
+                   "--out", str(tmp_path / "out.json")])
+    assert rc == 2
+    assert "pointbilliard.survey/1" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_stats_insufficient_sample_is_validation_error(tmp_path, level_energy, capsys):
     cfg = write_config(tmp_path, window=(level_energy(200), level_energy(230)))
     rc = cli.main(["stats", "--config", cfg])
@@ -317,6 +332,14 @@ def test_sweep_workers_do_not_change_output(tmp_path, level_energy):
     doc = json.loads(par)
     assert [r["vbar_inv"] for r in doc["rows"]] == [-0.5, 0.25, 1.0]
     assert doc["diagnostics"]["failed_rows"] == 0
+
+
+def test_sweep_has_no_bins_flag(tmp_path, level_energy):
+    # sweep rows report KS distances only, so a histogram width has no use
+    cfg = write_config(tmp_path, window=(level_energy(200), level_energy(330)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", cfg, "--grid", "0.3", "--bins", "3"])
+    assert exc.value.code == 2
 
 
 def test_sweep_records_row_failures_and_continues(tmp_path, level_energy):
@@ -431,3 +454,15 @@ def test_console_script_smoke(tmp_path, level_energy):
     header, data = parse_csv(proc.stdout)
     assert header == list(cli.CSV_COLUMNS["spectrum"])
     assert len(data) == 40
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # only sweep runs a thread pool, so the other subcommands need not pay
+    # for importing one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import pointbilliard.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

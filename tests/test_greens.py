@@ -12,7 +12,7 @@ from pointbilliard import ValidationError, eval_eigenfunction
 from pointbilliard.errors import PoleProximityError
 from pointbilliard.basis import BilliardSpec, mode_table_with_count
 from pointbilliard.greens import GreensAccuracy, GreensEvaluator, LocalGreens, ScattererSet
-from pointbilliard.rankone import decompose, reduce_full
+from pointbilliard.rankone import reduce_full
 from pointbilliard.solver import _pole_mask
 
 from conftest import (
@@ -257,7 +257,6 @@ def test_non_finite_energy_is_rejected(ev2, omega):
     # and every entry point returned nan (inf for diag at -inf)
     calls = (
         *_checked_calls(ev2, omega),
-        lambda: decompose(ev2, omega),
         lambda: reduce_full(ev2, omega),
     )
     for call in calls:

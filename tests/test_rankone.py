@@ -7,19 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pointbilliard import ValidationError
 from pointbilliard.basis import BilliardSpec
 from pointbilliard.errors import PoleProximityError
 from pointbilliard.greens import GreensAccuracy, GreensEvaluator, ScattererSet
 from pointbilliard.rankone import (
-    SigmaDecomposition,
     _absorb,
-    approximate_sigma,
-    decompose,
-    initial_state,
+    _absorptions,
+    _decompose_arrays,
     reduce_full,
     reduce_full_batch,
-    reduce_step,
 )
 
 from conftest import GENERIC_X, GENERIC_Y_FRACTION, SECOND_X, SECOND_Y_FRACTION, gap_midpoint, make_evaluator
@@ -52,17 +48,20 @@ def ev3(golden, big_table):
                           INV_COUPLINGS[:3])
 
 
+def _assemble(d0, vectors, weights):
+    """diag(d0) plus every mode term weights[n] * outer(vectors[n], vectors[n])."""
+    return np.diag(d0) + (vectors * weights[:, None]).T @ vectors
+
+
 def test_decompose_reassembles_secular_matrix(ev2):
     w = gap_midpoint(ev2, 321)
-    dec = decompose(ev2, w)
+    d0, vectors, weights = _decompose_arrays(ev2, np.array([w]))
     sec = ev2.secular_matrix(w)
-    perm = dec.permutation
     scale = np.max(np.abs(sec))
-    assert np.allclose(dec.assemble(), sec[np.ix_(perm, perm)],
+    assert np.allclose(_assemble(d0[0], vectors, weights[0]), sec,
                        rtol=0.0, atol=1e-12 * scale)
-    assert np.all(np.diff(dec.unperturbed_diag) >= 0.0)
-    assert np.array_equal(dec.weights, 1.0 / (w - ev2.energies))
-    assert dec.n == 2 and dec.n_modes == ev2.n_eff
+    assert np.array_equal(weights[0], 1.0 / (w - ev2.energies))
+    assert d0.shape == (1, 2) and vectors.shape == (ev2.n_eff, 2)
 
 
 def test_reduce_full_matches_dense_eigh(ev3):
@@ -92,17 +91,16 @@ def test_step_chain_identities(golden, big_table):
     ev = make_evaluator(golden, big_table, positions_for(golden, 4),
                         INV_COUPLINGS[:4], n_max=500)
     w = gap_midpoint(ev, 120)
-    dec = decompose(ev, w)
-    state = initial_state(dec)
-    assert state.residual_vectors.shape == (dec.n_modes, dec.n)
-    scale = float(np.max(np.abs(dec.unperturbed_diag))) + 1.0
+    d0, vectors, weights = _decompose_arrays(ev, np.array([w]))
+    scale = float(np.max(np.abs(d0))) + 1.0
     eps = 1e-11 * scale
-    for k in range(dec.n_modes):
-        old = state.diag
-        z = dec.vectors[k] @ state.rotation
-        c = float(dec.weights[k])
-        state = reduce_step(state)
-        new = state.diag
+    # the eigenvalues of the bare diagonal are its entries, ascending
+    old, q = np.sort(d0[0]), np.eye(4)
+    steps = 0
+    for k, (d, q_new) in enumerate(_absorptions(d0, vectors, weights)):
+        new = d[0]
+        z = vectors[k] @ q
+        c = float(weights[0, k])
         assert np.all(np.diff(new) >= -eps)
         # trace moves by exactly the rank-one weight
         assert np.sum(new) - np.sum(old) == pytest.approx(c * float(z @ z),
@@ -116,15 +114,16 @@ def test_step_chain_identities(golden, big_table):
             assert np.all(new <= old + eps)
             assert np.all(new[1:] >= old[:-1] - eps)
             assert new[0] >= old[0] + c * float(z @ z) - eps
-    with pytest.raises(ValidationError):
-        reduce_step(state)
+        old, q = new, q_new[0]
+        steps += 1
+    assert steps == ev.n_eff
 
-    q = state.rotation
-    assert np.max(np.abs(q.T @ q - np.eye(dec.n))) < 1e-12
-    recon = q @ np.diag(state.diag) @ q.T
-    assert np.allclose(recon, dec.assemble(), rtol=0.0, atol=1e-10 * scale)
-    oracle = np.linalg.eigvalsh(dec.assemble())
-    assert np.allclose(state.diag, oracle, rtol=0.0, atol=1e-10 * scale)
+    dense = _assemble(d0[0], vectors, weights[0])
+    assert np.max(np.abs(q.T @ q - np.eye(4))) < 1e-12
+    recon = q @ np.diag(old) @ q.T
+    assert np.allclose(recon, dense, rtol=0.0, atol=1e-10 * scale)
+    oracle = np.linalg.eigvalsh(dense)
+    assert np.allclose(old, oracle, rtol=0.0, atol=1e-10 * scale)
 
 
 def test_exactly_degenerate_levels(golden):
@@ -142,56 +141,13 @@ def test_exactly_degenerate_levels(golden):
         assert np.allclose(reduce_full(ev, w), oracle, rtol=0.0, atol=1e-9)
 
 
-def test_near_window_approximation_ladder(ev2):
-    # only the off-diagonal parts of discarded modes are lost, so the error
-    # shrinks as the retained window widens
-    w = gap_midpoint(ev2, 400)
-    full = reduce_full(ev2, w)
-    devs = []
-    for kept in (8, 32, 128):
-        approx = approximate_sigma(ev2, w, near_window=kept)
-        assert approx.kept_indices.size == kept
-        # the retained modes are the nearest ones in energy
-        oracle_kept = np.sort(np.argsort(np.abs(ev2.energies - w), kind="stable")[:kept])
-        assert np.array_equal(approx.kept_indices, oracle_kept)
-        devs.append(float(np.max(np.abs(approx.eigenvalues() - full))))
-    assert devs[0] > devs[1] > devs[2]
-    assert devs[2] < 0.02
-
-    spec = ev2.billiard
-    flat = spec.mass / (2.0 * np.pi) * np.log(w / ev2.scatterers.lambda_scale)
-    expected = flat - np.asarray(ev2.scatterers.inv_couplings)
-    assert np.allclose(approx.closed_form, expected, rtol=0.0, atol=1e-15)
-
-
-def test_single_scatterer_fold_is_exact(ev1):
-    # one scatterer has no off-diagonal entries: folding the discarded
-    # modes' diagonals loses nothing at any window width
-    w = gap_midpoint(ev1, 400)
-    full = reduce_full(ev1, w)
-    for kept in (1, 8):
-        approx = approximate_sigma(ev1, w, near_window=kept)
-        assert np.max(np.abs(approx.eigenvalues() - full)) < 1e-12
-
-
-def test_near_window_full_width_reproduces_matrix(ev2):
-    w = gap_midpoint(ev2, 150)
-    approx = approximate_sigma(ev2, w, near_window=ev2.n_eff)
-    sec = ev2.secular_matrix(w)
-    scale = np.max(np.abs(sec))
-    assert np.allclose(approx.assemble(), sec, rtol=0.0, atol=1e-12 * scale)
-
-
 def test_validation_and_pole_guard(ev1):
     w = gap_midpoint(ev1, 100)
-    with pytest.raises(ValidationError):
-        approximate_sigma(ev1, w, near_window=0)
-    with pytest.raises(ValidationError):
-        approximate_sigma(ev1, -5.0, near_window=4)
     with pytest.raises(PoleProximityError):
         reduce_full(ev1, float(ev1.energies[50]))
+    # one energy on a pole refuses the whole batch
     with pytest.raises(PoleProximityError):
-        decompose(ev1, float(ev1.energies[50]))
+        reduce_full_batch(ev1, [w, float(ev1.energies[50])])
 
 
 # ------------------------------------------------- the absorption engine ---
@@ -323,17 +279,16 @@ def test_reduce_step_chain_matches_dense_eigensolve(data, n, steps):
     updates = [data.draw(_update(d)) for _ in range(steps)]
     vectors = np.array([z for z, _ in updates])
     weights = np.array([c for _, c in updates])
-    dec = SigmaDecomposition(omega=0.0, unperturbed_diag=d, vectors=vectors,
-                             weights=weights, permutation=np.arange(n))
-    state = initial_state(dec)
+    dense = _assemble(d, vectors, weights)
     tol = 1e-12 * (max(1.0, np.max(np.abs(d)))
                    + float(np.abs(weights) @ (vectors ** 2).sum(axis=1)))
-    for k in range(steps):
-        old_d, old_q = state.diag, state.rotation
-        state = reduce_step(state)
-        _check_update(old_d, vectors[k] @ old_q, weights[k], state.diag,
-                      old_q.T @ state.rotation, tol)
-    q = state.rotation
-    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
-    assert np.max(np.abs(state.diag - np.linalg.eigvalsh(dec.assemble()))) <= tol
-    assert np.max(np.abs(q @ np.diag(state.diag) @ q.T - dec.assemble())) <= tol
+    old_d, old_q = d, np.eye(n)
+    chain = _absorptions(d[None, :], vectors, weights[None, :])
+    for k, (new_d, new_q) in enumerate(chain):
+        _check_update(old_d, vectors[k] @ old_q, weights[k], new_d[0],
+                      old_q.T @ new_q[0], tol)
+        old_d, old_q = new_d[0], new_q[0]
+    assert k == steps - 1
+    assert np.max(np.abs(old_q.T @ old_q - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(old_d - np.linalg.eigvalsh(dense))) <= tol
+    assert np.max(np.abs(old_q @ np.diag(old_d) @ old_q.T - dense)) <= tol
