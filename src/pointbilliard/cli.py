@@ -114,7 +114,7 @@ def config_from_mapping(doc: dict) -> RunConfig:
     """Build a RunConfig, collecting every violated precondition at once.
 
     Numbers must be finite JSON numbers, not booleans, and n_max an
-    integral one; offdiag_block_average must be a JSON boolean.
+    integral one.
     """
     if not isinstance(doc, dict):
         raise ValidationError("configuration must be a JSON object")
@@ -152,12 +152,8 @@ def config_from_mapping(doc: dict) -> RunConfig:
         return EnergyWindow(_number(w.get("lo"), "lo"), _number(w.get("hi"), "hi"))
 
     def greens_accuracy():
-        a = section("accuracy")
-        flag = a.get("offdiag_block_average", True)
-        if not isinstance(flag, bool):
-            raise ValidationError(f"offdiag_block_average must be true or false, got {flag!r}")
-        return GreensAccuracy(int(_number(a.get("n_max", 100_000), "n_max", integral=True)),
-                              a.get("tail_mode", "integral"), flag)
+        n_max = section("accuracy").get("n_max", 100_000)
+        return GreensAccuracy(int(_number(n_max, "n_max", integral=True)))
 
     def attempt(name: str | None, build):
         """build(), or None with its problem recorded under name."""
@@ -527,7 +523,9 @@ def _parse_grid(text: str) -> list:
 def read_levels(path: str) -> np.ndarray:
     """Levels from a spectrum envelope (JSON or CSV) or one float per line.
 
-    Envelopes of any other kind are refused: their rows hold no levels.
+    Envelopes of any other kind are refused: their rows hold no levels.  In
+    a CSV or plain list only the first line that is not a comment may be a
+    header; any later line that does not start with a number is an error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -539,24 +537,26 @@ def read_levels(path: str) -> np.ndarray:
         try:
             doc = json.loads(text)
             schema = doc["schema"]
-            values = [row["omega"] for row in doc["rows"]]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValidationError(
-                f"levels file {path!r} is JSON but not a spectrum envelope") from exc
+            values = [_number(row["omega"], "omega") for row in doc["rows"]]
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON or omega included
+            raise ValidationError(f"levels file {path!r} is JSON but not a spectrum "
+                                  f"envelope of numeric levels") from exc
     else:
         lines = [line.strip() for line in text.splitlines()]
         # a plain list has no schema line and counts as a spectrum
         schema = next((line.partition(":")[2].strip() for line in lines
                        if line.startswith("# schema:")), spectrum)
         values = []
-        for line in lines:
-            if not line or line.startswith("#"):
-                continue
+        content = [(k, line) for k, line in enumerate(lines, 1)
+                   if line and not line.startswith("#")]
+        for index, (k, line) in enumerate(content):
             first = line.split(",")[0].strip()
             try:
                 values.append(float(first))
             except ValueError:
-                continue  # header line
+                if index:  # only the first line may be a header
+                    raise ValidationError(
+                        f"levels file {path!r}, line {k}: {first!r} is not a number") from None
         if not values:
             raise ValidationError(f"no numeric levels found in {path!r}")
     if schema != spectrum:

@@ -7,22 +7,23 @@ encodes the self-adjoint (coupling-strength) renormalisation.  Off-diagonal
 entries between distinct scatterers need no counterterm but converge only
 conditionally, so they are evaluated as block-averaged partial sums.
 
-Truncation handling:
+Truncation handling, one policy for every evaluation:
 
-* diagonal, tail_mode="integral": the discarded high modes are replaced by a
-  mean-field integral with density rho_av and mean intensity 1/area.  The
-  antiderivative of 1/(omega-E) + E/(E^2+lam^2) is log(sqrt(E^2+lam^2)) -
-  log|omega-E| (up to sign), giving the closed tail
-  (mass/2pi) * log((E_c - omega)/sqrt(E_c^2 + lam^2)), negative for
-  0 < omega < E_c.  The complex-log form of the same expression serves
-  evaluations off the real axis.
+* diagonal: the discarded high modes are replaced by a mean-field integral
+  with density rho_av and mean intensity 1/area.  The antiderivative of
+  1/(omega-E) + E/(E^2+lam^2) is log(sqrt(E^2+lam^2)) - log|omega-E| (up to
+  sign), giving the closed tail (mass/2pi) * log((E_c - omega)/sqrt(E_c^2 +
+  lam^2)), negative for 0 < omega < E_c.  The complex-log form of the same
+  expression serves evaluations off the real axis.  The bare series without
+  it diverges; unregularized_partial_sums shows that.
 
 * off-diagonal: the running partial sum is averaged over the last three
   energy windows of one mean spacing each.  That average is algebraically a
-  fixed per-mode weight profile, min(1, (E_c - e)/(3 mean_spacing)): exactly 1
-  for every mode at least three spacings below the cutoff, tapering to 0 at
-  it.  Evaluation stays a single dot product, the weights are shared by every
-  omega, and every pole term deep in the table is exactly rank one.
+  fixed per-mode weight profile, min(1, (E_c - e)/(3 mean_spacing)), for a
+  table of any length: exactly 1 for every mode at least three spacings
+  below the cutoff, tapering to 0 at it.  Evaluation stays a single dot
+  product, the weights are shared by every omega, and every pole term deep
+  in the table is exactly rank one.
 
 A mode value phi with phi^2 at or below pole_weight_floor is a node's rounding
 noise, not a pole; the evaluator zeroes it once, so every series, the solver's
@@ -62,8 +63,6 @@ import numpy as np
 
 from .basis import BilliardSpec, ModeTable, basis_column, mode_table_with_count
 from .errors import PoleProximityError, ValidationError
-
-TAIL_MODES = ("none", "integral")
 
 # Default half-width of the exclusion band around each unperturbed level,
 # in units of the mean spacing.
@@ -140,18 +139,13 @@ class ScattererSet:
 
 @dataclass(frozen=True)
 class GreensAccuracy:
-    """Series truncation and tail policy shared by all evaluations."""
+    """Series truncation shared by all evaluations: the n_max lowest modes."""
 
     n_max: int = 100_000
-    tail_mode: str = "integral"
-    offdiag_block_average: bool = True
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValidationError(f"n_max must be >= 1, got {self.n_max}")
-        if self.tail_mode not in TAIL_MODES:
-            raise ValidationError(
-                f"tail_mode must be one of {TAIL_MODES}, got {self.tail_mode!r}")
 
 
 def _is_complex(omega) -> bool:
@@ -254,6 +248,8 @@ class GreensEvaluator(_SeriesForms):
         self.billiard = billiard
         self.scatterers = scatterers
         self.accuracy = accuracy if accuracy is not None else GreensAccuracy()
+        if scatterers.n == 0:
+            raise ValidationError("a Green-function evaluator needs at least one scatterer")
         for k, (x, y) in enumerate(scatterers.positions):
             if not billiard.contains(x, y, strict=True):
                 raise ValidationError(
@@ -294,7 +290,7 @@ class GreensEvaluator(_SeriesForms):
             for j in range(i, self.n):
                 self._column[i, j] = self._column[j, i] = c
                 np.multiply(phi[:, i], phi[:, j], out=self._columns[c])
-                if i != j and self._profile is not None:
+                if i != j:
                     self._columns[c] *= self._profile
                 c += 1
 
@@ -314,15 +310,11 @@ class GreensEvaluator(_SeriesForms):
         phi^2 at or below pole_weight_floor are 0."""
         return self._phi
 
-    def _block_profile(self):
+    def _block_profile(self) -> np.ndarray:
         """Per-mode weights realising the 3-block partial-sum average: each mode's
         mean share of the last three one-spacing windows below the cutoff, in
         closed form min(1, (E_c - e)/(3 mean_spacing))."""
-        if not self.accuracy.offdiag_block_average:
-            return None
         span = 3.0 * self.mean_spacing
-        if self.energies[0] > self.cutoff_energy - span:
-            return None  # table too short to average; plain sums instead
         return np.minimum(1.0, (self.cutoff_energy - self.energies) / span)
 
     def _entry(self, i: int, j: int) -> np.ndarray:
@@ -392,10 +384,11 @@ class GreensEvaluator(_SeriesForms):
 
     # -- diagonal (renormalised) series ----------------------------------
 
-    def _tail(self, omega, order: int = 0):
-        """Order-th omega-derivative of the mean-field integral over the modes
-        above the cutoff: (mass/2pi) log((e_cut - omega)/sqrt(e_cut^2 + lam^2)),
-        then -(mass/2pi) (order-1)!/(e_cut - omega)^order."""
+    def tail_correction(self, omega, order: int = 0):
+        """Integral tail added to the diagonal series, or its order-th
+        omega-derivative: the mean-field integral over the modes above the
+        cutoff, (mass/2pi) log((e_cut - omega)/sqrt(e_cut^2 + lam^2)), then
+        -(mass/2pi) (order-1)!/(e_cut - omega)^order."""
         ec = self.cutoff_energy
         scale = self.billiard.mass / (2.0 * math.pi)
         if order:
@@ -404,13 +397,6 @@ class GreensEvaluator(_SeriesForms):
             raise ValidationError(
                 f"omega={omega!r} is not below the series cutoff {ec:g}")
         return scale * (np.log(ec - omega) - 0.5 * math.log(ec * ec + self.lam * self.lam))
-
-    def tail_correction(self, omega, order: int = 0):
-        """Integral tail added to the diagonal series, or its order-th
-        derivative (0 when disabled)."""
-        if self.accuracy.tail_mode != "integral":
-            return 0.0
-        return self._tail(omega, order)
 
     def diag(self, i: int, omega):
         """Renormalised diagonal Green function at scatterer i."""
@@ -427,17 +413,14 @@ class GreensEvaluator(_SeriesForms):
         return float(self._counterterm[i])
 
     def offdiag_weights(self) -> np.ndarray:
-        """Per-mode weights of the block-averaged off-diagonal sums (all 1 when off)."""
-        if self._profile is None:
-            return np.ones(self.n_eff)
+        """Per-mode weights of the block-averaged off-diagonal sums,
+        min(1, (E_c - e)/(3 mean_spacing))."""
         return self._profile
 
     def diag_error(self, i: int, omega) -> float:
-        """Estimated absolute truncation error of diag().
-
-        With the integral tail the residual is set by the discreteness of
-        the modes near the cutoff; a few times the largest discarded term
-        covers it.  Without the tail the dropped integral itself dominates.
+        """Estimated absolute truncation error of diag(), integral tail
+        included: the residual is set by the discreteness of the modes near
+        the cutoff, and a few times the largest discarded term covers it.
         """
         ec = self.cutoff_energy
         w = abs(omega)
@@ -445,22 +428,17 @@ class GreensEvaluator(_SeriesForms):
             return math.inf
         lam2 = self.lam ** 2
         top_term = (4.0 / self.billiard.area) * (w * ec + lam2) / ((ec - w) * (ec * ec + lam2))
-        err = 8.0 * top_term
-        if self.accuracy.tail_mode == "none":
-            err += abs(self._tail(w))
-        return err
+        return 8.0 * top_term
 
     def deficiency_norm_sq(self, i: int) -> float:
-        """sum phi_n(x_i)^2/(e_n^2 + lam^2), tail-corrected when enabled.
+        """sum phi_n(x_i)^2/(e_n^2 + lam^2) plus its mean-field tail above the
+        cutoff, (mass/2pi) atan2(lam, E_c)/lam.
 
         This is the squared norm of the deficiency vector attached to
         scatterer i and the series behind the angle <-> coupling map.
         """
-        value = float(self._deficiency[i])
-        if self.accuracy.tail_mode == "integral":
-            scale = self.billiard.mass / (2.0 * math.pi)
-            value += scale * math.atan2(self.lam, self.cutoff_energy) / self.lam
-        return value
+        tail = self.billiard.mass / (2.0 * math.pi) * math.atan2(self.lam, self.cutoff_energy)
+        return float(self._deficiency[i]) + tail / self.lam
 
     # -- off-diagonal series ----------------------------------------------
 

@@ -39,12 +39,12 @@ def _decompose_arrays(evaluator: GreensEvaluator, omegas: np.ndarray):
     ct = np.array([evaluator.counterterm(i) for i in range(evaluator.n)])
     tail = np.array([evaluator.tail_correction(w) for w in omegas])
     # diagonal keeps full per-mode weight 1; the averaged rows only carry
-    # what, so the shortfall (1 - what) * phi^2 returns to the diagonal
+    # what, so the shortfall (1 - what) * phi^2 returns to the diagonal (the
+    # top mode's weight is 0, so some mode always falls short)
     short = 1.0 - what
     live = short > 0.0
-    d0 = ct[None, :] - inv[None, :] + tail[:, None]
-    if live.any():
-        d0 = d0 + weights[:, live] @ (short[live, None] * phi[live] ** 2)
+    d0 = (ct[None, :] - inv[None, :] + tail[:, None]
+          + weights[:, live] @ (short[live, None] * phi[live] ** 2))
     return d0, vectors, weights
 
 

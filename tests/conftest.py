@@ -63,10 +63,9 @@ def ev2(golden, generic_point, second_point, big_table):
 
 
 def make_evaluator(golden, big_table, positions, inv_couplings, n_max=3_000,
-                   lambda_scale=1.0, **acc_kwargs):
+                   lambda_scale=1.0):
     sc = ScattererSet(tuple(positions), tuple(inv_couplings), lambda_scale)
-    acc = GreensAccuracy(n_max=n_max, **acc_kwargs)
-    return GreensEvaluator(golden, sc, acc, table=big_table)
+    return GreensEvaluator(golden, sc, GreensAccuracy(n_max=n_max), table=big_table)
 
 
 @pytest.fixture(scope="session")

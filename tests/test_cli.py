@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointbilliard import cli
-from pointbilliard.errors import RootBracketError
+from pointbilliard.errors import RootBracketError, ValidationError
 
 from conftest import GENERIC_X, GENERIC_Y_FRACTION
 
@@ -127,7 +127,8 @@ def test_unknown_nested_keys_are_rejected_by_name(tmp_path, capsys):
         "scatterers": {"positions": [[0.4, 0.5]], "inv_couplings": [0.3],
                        "charge": 1.0},
         "window": {"lo": 700.0, "hi": 800.0, "step": 1.0},
-        "accuracy": {"n_max": 3000, "target_abs_err": 1e-6},
+        "accuracy": {"n_max": 3000, "target_abs_err": 1e-6, "tail_mode": "integral",
+                     "offdiag_block_average": True},
     }
     path = tmp_path / "nested.json"
     path.write_text(json.dumps(doc))
@@ -135,8 +136,35 @@ def test_unknown_nested_keys_are_rejected_by_name(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     for fragment in ("billiard.height", "scatterers.charge", "window.step",
-                     "accuracy.target_abs_err"):
+                     "accuracy.target_abs_err", "accuracy.tail_mode",
+                     "accuracy.offdiag_block_average"):
         assert fragment in err
+
+
+def _readme_config() -> dict:
+    """The JSON block under the README's "### Configuration file" heading."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### Configuration file", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_readme_config_loads():
+    config = cli.config_from_mapping(_readme_config())
+    assert config.scatterers.n == 1
+    assert config.window is not None
+
+
+@pytest.mark.parametrize("window", [True, False])
+def test_config_echo_loads_back_to_an_equal_config(window):
+    doc = _readme_config()
+    if not window:
+        del doc["window"]
+    config = cli.config_from_mapping(doc)
+    envelope = cli.cmd_predict(config, omega=900.0)
+    echoed = json.loads(cli.render(envelope, "json"))["config"]
+    assert cli.config_from_mapping(echoed) == config
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
@@ -172,11 +200,6 @@ def _malformed_entries():
         st.tuples(st.just(("accuracy", "n_max")),
                   st.one_of(_NOT_NUMBERS, st.sampled_from([2.7, 0.5, 3000.25]))
                   ).map(lambda t: (*t[0], t[1])),
-        st.tuples(st.just("accuracy"), st.just("tail_mode"),
-                  st.one_of(st.booleans(), st.none(), st.integers(), st.just(["integral"]))),
-        st.tuples(st.just("accuracy"), st.just("offdiag_block_average"),
-                  st.one_of(st.sampled_from(["false", "true", 0, 1, 0.0]), st.none(),
-                            st.just([True]))),
         st.tuples(st.just("scatterers"), st.just("inv_couplings"),
                   st.one_of(st.booleans(), st.none(), st.text(max_size=4), st.just(0.3),
                             _NOT_NUMBERS.map(lambda v: [v]))),
@@ -195,8 +218,7 @@ def test_malformed_config_values_exit_2_naming_the_key(tmp_path_factory, entry):
            "scatterers": {"positions": [[0.4, 0.5]], "inv_couplings": [0.3],
                           "lambda_scale": 1.0},
            "window": {"lo": 700.0, "hi": 760.0},
-           "accuracy": {"n_max": 3000, "tail_mode": "integral",
-                        "offdiag_block_average": True},
+           "accuracy": {"n_max": 3000},
            "tol": 1e-9}
     (doc if section is None else doc[section])[key] = value
     path = tmp_path_factory.mktemp("cfg") / "bad.json"
@@ -276,6 +298,33 @@ def test_stats_refuses_levels_from_other_envelopes(tmp_path, level_energy, capsy
     assert rc == 2
     assert "pointbilliard.survey/1" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_stats_plain_levels_refuse_a_mistyped_level(tmp_path, capsys):
+    # only the first line may be a header; a later word is a level gone wrong
+    cfg = write_config(tmp_path, window=(700.0, 760.0))
+    plain = tmp_path / "levels.txt"
+    plain.write_text("# levels\n700.5\n70l.25\n702.0\n")
+    with pytest.raises(ValidationError, match="line 3: '70l.25' is not a number"):
+        cli.read_levels(str(plain))
+    rc = cli.main(["stats", "--config", cfg, "--levels", str(plain),
+                   "--out", str(tmp_path / "out.json")])
+    assert rc == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("omega", ["abc", True, None])
+def test_stats_json_levels_must_be_numbers(tmp_path, capsys, omega):
+    cfg = write_config(tmp_path, window=(700.0, 760.0))
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps({"schema": "pointbilliard.spectrum/1",
+                               "rows": [{"omega": 700.5}, {"omega": omega}]}))
+    rc = cli.main(["stats", "--config", cfg, "--levels", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err
 
 
 def test_stats_insufficient_sample_is_validation_error(tmp_path, level_energy, capsys):
@@ -368,6 +417,15 @@ def test_survey_empty_window_succeeds_with_note(tmp_path, level_energy):
     doc = json.loads(text)
     assert doc["rows"] == []
     assert any("no unperturbed gaps" in n for n in doc["diagnostics"]["notes"])
+
+
+def test_survey_without_scatterers_is_validation_error(tmp_path, level_energy, capsys):
+    # spectrum accepts zero scatterers; the survey needs one to probe
+    cfg = write_config(tmp_path, window=(level_energy(200), level_energy(240)),
+                       scatterers={"positions": [], "inv_couplings": []})
+    rc = cli.main(["survey", "--config", cfg])
+    assert rc == 2
+    assert "at least one scatterer" in capsys.readouterr().err
 
 
 def test_survey_csv_and_json_carry_identical_numbers(tmp_path, level_energy):

@@ -27,9 +27,9 @@ from test_stats import independent_curvature
 
 
 def test_diag_matches_bruteforce_sum(golden, generic_point, big_table):
-    # oracle first: dumb per-mode loop over the same 400 modes, no tail
-    ev = make_evaluator(golden, big_table, [generic_point], [0.3],
-                        n_max=400, tail_mode="none")
+    # oracle first: dumb per-mode loop over the same 400 modes; the tail has
+    # its own quadrature test
+    ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=400)
     omega = gap_midpoint(ev, 200)
     lam2 = ev.lam ** 2
     oracle = 0.0
@@ -37,7 +37,7 @@ def test_diag_matches_bruteforce_sum(golden, generic_point, big_table):
         phi = eval_eigenfunction(golden, (ev.table.mx[i], ev.table.my[i]), generic_point)
         e = float(ev.energies[i])
         oracle += phi * phi * (1.0 / (omega - e) + e / (e * e + lam2))
-    assert ev.diag(0, omega) == pytest.approx(oracle, rel=1e-12)
+    assert ev.diag(0, omega) - ev.tail_correction(omega) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_integral_tail_matches_quadrature(golden, generic_point, big_table):
@@ -62,12 +62,9 @@ def test_tail_tightens_selfconvergence(golden, generic_point, big_table):
     with_tail = {}
     without = {}
     for n_max in (25_000, 100_000):
-        evt = make_evaluator(golden, big_table, [generic_point], [0.3],
-                             n_max=n_max)
-        evn = make_evaluator(golden, big_table, [generic_point], [0.3],
-                             n_max=n_max, tail_mode="none")
-        with_tail[n_max] = evt.diag(0, omega)
-        without[n_max] = evn.diag(0, omega)
+        ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=n_max)
+        with_tail[n_max] = ev.diag(0, omega)
+        without[n_max] = with_tail[n_max] - ev.tail_correction(omega)
     gap_tail = abs(with_tail[100_000] - with_tail[25_000])
     gap_bare = abs(without[100_000] - without[25_000])
     assert gap_tail < 1e-5
@@ -93,15 +90,12 @@ def test_diag_derivative_matches_finite_difference(ev1):
     assert ev1.diag_derivative(0, omega) == pytest.approx(fd, rel=1e-6)
 
 
-@pytest.mark.parametrize("tail_mode", ["integral", "none"])
-def test_diag_curvature_matches_mode_sums_and_differences(golden, generic_point, big_table,
-                                                          tail_mode):
+def test_diag_curvature_matches_mode_sums_and_differences(ev1, golden):
     # oracle: the mode sums 2 phi^2/(w - e)^3 and -6 phi^2/(w - e)^4 in fsum,
     # plus the tail's derivatives of (M/2pi) ln(e_cut - w) written out
-    ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=3_000,
-                        tail_mode=tail_mode)
+    ev = ev1  # 3 000 modes
     phi_sq = ev.phi_values[:, 0] ** 2
-    scale = golden.mass / (2.0 * math.pi) if tail_mode == "integral" else 0.0
+    scale = golden.mass / (2.0 * math.pi)
     for k in (40, 400, 2_000):
         omega = gap_midpoint(ev, k)
         d = omega - ev.energies
@@ -144,10 +138,19 @@ def test_offdiag_weights_structure(ev2):
     assert np.all((w >= 0.0) & (w <= 1.0))
     assert w[0] == 1.0       # low modes fully counted
     assert w[-1] == 0.0      # topmost mode averaged away
-    raw = make_evaluator(ev2.billiard, ev2.table, ev2.scatterers.positions,
-                         ev2.scatterers.inv_couplings, n_max=3000,
-                         offdiag_block_average=False)
-    assert np.all(raw.offdiag_weights() == 1.0)
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_offdiag_profile_of_a_short_table_is_the_closed_form(golden, generic_point,
+                                                             second_point, big_table, n_max):
+    # oracle: the three-window average itself; a table spanning fewer than
+    # three mean spacings gets it too, not plain sums
+    ev = make_evaluator(golden, big_table, [generic_point, second_point], [0.3, -0.4],
+                        n_max=n_max)
+    assert ev.energies[0] > ev.cutoff_energy - 3.0 * ev.mean_spacing
+    shares = [_block_average_share(e, ev.cutoff_energy, ev.mean_spacing) for e in ev.energies]
+    assert ev.offdiag_weights() == pytest.approx(shares, abs=1e-15)
+    assert ev.offdiag_weights()[-1] == 0.0
 
 
 @pytest.mark.parametrize("n_max", [30_000, 100_000])
@@ -312,14 +315,18 @@ def test_scatterer_set_validation():
 def test_accuracy_validation():
     with pytest.raises(ValidationError):
         GreensAccuracy(n_max=0)
-    with pytest.raises(ValidationError):
-        GreensAccuracy(tail_mode="magic")
 
 
 def test_scatterer_outside_rectangle_rejected(golden):
     sc = ScattererSet(((2.0, 0.5),), (0.3,))
     with pytest.raises(ValidationError):
         GreensEvaluator(golden, sc, GreensAccuracy(n_max=100))
+
+
+def test_evaluator_without_scatterers_rejected(golden, big_table):
+    with pytest.raises(ValidationError, match="at least one scatterer"):
+        GreensEvaluator(golden, ScattererSet((), ()), GreensAccuracy(n_max=100),
+                        table=big_table)
 
 
 @settings(max_examples=30, deadline=None)
