@@ -44,14 +44,15 @@ a time, so no points x n_eff kernel is formed.
 Near/far split (GreensEvaluator.local): over a block [lo, hi] of gaps the
 series splits at the modes in [lo, hi] plus LOCAL_NEIGHBOURS on each side.
 The near part is summed exactly, by _sums on that short slice.  The far part
-has no pole within dist of the block, so it is smooth there and a Chebyshev
-interpolant at LOCAL_NODES = P nodes stands in for it, one per weight column
-and order k, from P node passes over the far modes.  The interpolation error
-is at most (hi-lo)^P / 2^(2P-1) * (P+k)!/P! * sum_far |w| / dist^(P+k+1), the
-Chebyshev remainder with |d^m/domega^m far| <= m! sum_far |w| / dist^(m+1).
-When that bound exceeds 1% of diag_error at the block midpoint (a block far
-wider than dist, such as one reaching far below the first pole), or no mode is
-far, local returns the evaluator itself and the block keeps the direct sums.
+has no pole within R of the block centre c, so it is the Taylor series sum_j
+D_j t^j/j! about c, t = omega - c, and its order-k derivative is the same
+series shifted by k: one table of D_m serves every order, with LOCAL_TERMS = P
+terms.  With x = (hi-lo)/(2R) the error at order k is at most k! sum_far |w| /
+R^(k+1) * C(k+P, P) x^P / (1 - x (k+P+1)/(P+1)), the binomial series tail of
+1/(omega - e)^(k+1).  When that exceeds 1% of diag_error at the block midpoint
+(a block far wider than R, such as one reaching far below the first pole), or
+no mode is far, local returns the evaluator itself and the block keeps the
+direct sums.
 """
 
 from __future__ import annotations
@@ -72,11 +73,15 @@ POLE_EXCLUSION_FACTOR = 1e-9
 # rounding noise of a node (about (m eps)^2 for mode number m), not a pole
 POLE_WEIGHT_FLOOR = 1e-22
 # near/far split of GreensEvaluator.local: modes summed exactly on each side of
-# the block, Chebyshev nodes of the far part, and the far-part error allowed,
-# relative to diag_error at the block midpoint
+# the block, Taylor terms of the far part, the highest order a view serves (the
+# survey's third), the far-part error allowed, relative to diag_error at the
+# block midpoint, and far modes per chunk of a view build (OpenBLAS runs a dot
+# of up to 10 000 on one thread, so no chunk is spread over the cores and back)
 LOCAL_NEIGHBOURS = 80
-LOCAL_NODES = 16
+LOCAL_TERMS = 24
+LOCAL_MAX_ORDER = 3
 LOCAL_ERROR_SHARE = 0.01
+LOCAL_CHUNK = 10_000
 
 
 @dataclass(frozen=True)
@@ -101,9 +106,9 @@ class ScattererSet:
         if len(positions) != len(inv):
             raise ValidationError(
                 f"{len(positions)} positions but {len(inv)} inverse couplings")
-        if not (math.isfinite(self.lambda_scale) and self.lambda_scale > 0.0):
-            raise ValidationError(
-                f"lambda_scale must be finite and positive, got {self.lambda_scale!r}")
+        if not (math.isfinite(self.lambda_scale * self.lambda_scale) and self.lambda_scale > 0.0):
+            raise ValidationError("lambda_scale must be positive with a finite square, "
+                                  f"got {self.lambda_scale!r}")
         for p in positions:
             if not all(math.isfinite(c) for c in p):
                 raise ValidationError(f"position {p!r} is not finite")
@@ -332,13 +337,13 @@ class GreensEvaluator(_SeriesForms):
         return [np.reshape([point[k] for point in sums], (*np.shape(omega), len(weights)))
                 for k in range(count)]
 
-    def local(self, lo: float, hi: float, count: int = 2):
-        """The unchecked series methods for omega in [lo, hi], orders below
-        count, from the near/far split of the module docstring.
+    def local(self, lo: float, hi: float):
+        """The unchecked series methods for omega in [lo, hi], orders up to
+        LOCAL_MAX_ORDER, from the near/far split of the module docstring.
 
-        Returns a LocalGreens view, or the evaluator itself when the block
-        is empty, no mode is far, or the far part's error bound exceeds LOCAL_ERROR_SHARE of
-        diag_error at the block midpoint (or that is infinite).  The view is
+        Returns a LocalGreens view, or the evaluator itself when the block is
+        empty, no mode is far, or a far part's error bound exceeds LOCAL_ERROR_SHARE
+        of diag_error at the block midpoint (or that is infinite).  The view is
         the caller's: nothing is stored on the evaluator.
         """
         e = self.energies
@@ -346,19 +351,23 @@ class GreensEvaluator(_SeriesForms):
         n1 = min(int(np.searchsorted(e, hi, "right")) + LOCAL_NEIGHBOURS, self.n_eff)
         if not lo < hi or n0 == 0 and n1 == self.n_eff:
             return self
-        dist = min(lo - e[n0 - 1] if n0 else math.inf,
-                   e[n1] - hi if n1 < self.n_eff else math.inf)
+        centre = 0.5 * (lo + hi)
+        radius = min(centre - e[n0 - 1] if n0 else math.inf,
+                     e[n1] - centre if n1 < self.n_eff else math.inf)
         # |phi_i phi_j| <= (phi_i^2 + phi_j^2)/2, so the largest far sum of phi_i^2
         # bounds sum_far |w| for every column
         far_weight = max(float(w[:n0].sum() + w[n1:].sum())
                          for w in (self._entry(i, i) for i in range(self.n)))
-        p = LOCAL_NODES
-        bound = [((hi - lo) / dist) ** p / 2.0 ** (2 * p - 1) * math.perm(p + k, k)
-                 * far_weight / dist ** (k + 1) for k in range(count)]
-        allowed = LOCAL_ERROR_SHARE * self.diag_error(0, 0.5 * (lo + hi))
+        x, p = 0.5 * (hi - lo) / radius, LOCAL_TERMS
+        if x * (p + LOCAL_MAX_ORDER + 1) >= p + 1:  # a binomial tail diverges
+            return self
+        bound = tuple(math.factorial(k) * far_weight / radius ** (k + 1) * math.comb(k + p, p)
+                      * x ** p / (1.0 - x * (k + p + 1) / (p + 1))
+                      for k in range(LOCAL_MAX_ORDER + 1))
+        allowed = LOCAL_ERROR_SHARE * self.diag_error(0, centre)
         if not (math.isfinite(allowed) and max(bound) <= allowed):
             return self
-        return LocalGreens(self, lo, hi, n0, n1, count, tuple(bound))
+        return LocalGreens(self, lo, hi, n0, n1, bound)
 
     def nearest_level(self, omega: float):
         """(distance, 0-based index) of the closest unperturbed level."""
@@ -491,22 +500,21 @@ class GreensEvaluator(_SeriesForms):
 
 
 class LocalGreens(_SeriesForms):
-    """diag_orders and secular_orders of an evaluator for omega in [lo, hi],
-    built by GreensEvaluator.local.
+    """diag_orders and secular_orders of an evaluator for omega in [lo, hi]
+    and orders up to LOCAL_MAX_ORDER, built by GreensEvaluator.local.
 
     Each series is the near sum, by _sums over modes n0 .. n1-1, plus the far
-    part's Chebyshev interpolant, whose error is at most far_bound[k] at order
-    k.  The far node values come one node at a time from views of the two far
-    slices, e[:n0] and e[n1:], so no weight is copied.  Each weight column has
-    its own coefficients, built and evaluated by one product or row reduction
-    per column, so like the near sums no column's value depends on which
-    others come with it.  It serves orders below count and holds only what
-    the sums need: the table facts (energies, mode values, pole weight floor)
+    part's Taylor series, whose error is at most far_bound[k] at order k.  A
+    column's table holds h^(m+1) D_m, h = (hi-lo)/2, so it stays in float range.
+    One pass over chunks of the far modes, views of e[:n0] and e[n1:], builds
+    it: each power of the kernel h/(c - e), taken in place, is summed by a row
+    reduction, one dot per column, as each evaluation is, so like the near sums
+    no column's value depends on which others come with it.  The table facts
     stay on the evaluator.  Immutable in practice.
     """
 
     def __init__(self, evaluator: GreensEvaluator, lo: float, hi: float, n0: int, n1: int,
-                 count: int, far_bound: tuple):
+                 far_bound: tuple):
         self.n = evaluator.n
         self.scatterers = evaluator.scatterers
         self.tail_correction = evaluator.tail_correction
@@ -518,25 +526,28 @@ class LocalGreens(_SeriesForms):
         weights, e = evaluator._columns, evaluator.energies
         self._near_energies = e[n0:n1]
         self._near = weights[:, n0:n1]
-        far = [(e[:n0], weights[:, :n0]), (e[n1:], weights[:, n1:])]
-        angles = math.pi * (np.arange(LOCAL_NODES) + 0.5) / LOCAL_NODES
-        values = np.zeros((count, len(weights), LOCAL_NODES))
-        for j, x in enumerate(self._centre + self._half * np.cos(angles)):
-            for energies, far_weights in far:
-                if energies.size:
-                    values[..., j] += _sums(float(x), energies, far_weights, 0, count)
-        # coefficients of the interpolant sum_m c_m T_m(t), t = (omega - centre)/half,
-        # one (count, column) row of LOCAL_NODES each
-        self._degrees = np.arange(LOCAL_NODES)
-        cosines = np.cos(np.outer(self._degrees, angles)) * (2.0 / LOCAL_NODES)
-        cosines[0] *= 0.5
-        self._coeffs = np.array([[cosines @ v for v in order] for order in values])
+        # table[col, m] = sum_far w_col (h/(c - e))^(m+1), c the centre: a contiguous
+        # row per column, so its dots take the same strides whichever others come
+        table = np.zeros((len(weights), LOCAL_TERMS + LOCAL_MAX_ORDER))
+        for start, stop in ((0, n0), (n1, len(e))):
+            for first in range(start, stop, LOCAL_CHUNK):
+                chunk = slice(first, min(first + LOCAL_CHUNK, stop))
+                kern = self._half / (self._centre - e[chunk])
+                term = np.ones_like(kern)
+                for m in range(table.shape[1]):
+                    term *= kern
+                    table[:, m] += np.vecdot(weights[:, chunk], term)
+        # d^m/domega^m 1/(omega - e) = (-1)^m m!/(omega - e)^(m+1)
+        factorials = np.array([math.factorial(m) for m in range(table.shape[1])], dtype=float)
+        self._table = table * factorials * (-1.0) ** np.arange(table.shape[1])
 
     def _series(self, omega, columns, first: int = 0, count: int = 1):
         """_sums of the selected weight columns: the near slice exactly, the
-        far modes by their interpolants."""
+        far modes by their Taylor expansion."""
         near = _sums(omega, self._near_energies, self._near[columns], first, count)
-        t = np.minimum(np.maximum((np.asarray(omega) - self._centre) / self._half, -1.0), 1.0)
-        basis = np.cos(np.multiply.outer(np.arccos(t), self._degrees))[..., None, :]
-        return [sums + np.vecdot(basis, self._coeffs[order, columns])
-                for order, sums in enumerate(near, first)]
+        s = (np.asarray(omega)[..., None, None] - self._centre) / self._half
+        steps = np.ones((*np.shape(omega), 1, LOCAL_TERMS))  # s^j/j! as a running product
+        np.cumprod(s / np.arange(1.0, LOCAL_TERMS), axis=-1, out=steps[..., 1:])
+        table = self._table[columns]
+        return [sums + np.vecdot(steps, table[:, k:k + LOCAL_TERMS]) / self._half ** (k + 1)
+                for k, sums in enumerate(near, first)]

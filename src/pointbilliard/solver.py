@@ -40,7 +40,8 @@ from .greens import GreensEvaluator
 DEFAULT_ROOT_TOL = 1e-9
 # gaps per near/far block (GreensEvaluator.local); a block whose gap count
 # times N is below LOCAL_MIN_ROOTS keeps the direct sums, since at about six
-# series passes per root it would not repay the view's LOCAL_NODES node passes
+# series passes per root it would not repay the view's build, which costs
+# about ten passes
 LOCAL_BLOCK_GAPS = 40
 LOCAL_MIN_ROOTS = 4
 
@@ -235,14 +236,13 @@ def _hybrid_root(f_and_slope, a, b, lo, f_lo, hi, f_hi, tol: float):
     raise RootBracketError(f"root iteration did not converge in [{lo[0]}, {hi[0]}]")
 
 
-def _block_series(evaluator: GreensEvaluator, lo: float, hi: float, n_gaps: int,
-                  count: int = 2):
+def _block_series(evaluator: GreensEvaluator, lo: float, hi: float, n_gaps: int):
     """The series source for a block of n_gaps gaps spanning [lo, hi]: the
-    evaluator's near/far view of the block (orders below count), or the
-    evaluator itself when the block is too small to repay the view."""
+    evaluator's near/far view of the block, or the evaluator itself when the
+    block is too small to repay the view."""
     if n_gaps * evaluator.n < LOCAL_MIN_ROOTS:
         return evaluator
-    return evaluator.local(lo, hi, count)
+    return evaluator.local(lo, hi)
 
 
 def _eigenvalues(series, x):
@@ -382,6 +382,14 @@ def _solve_block(evaluator: GreensEvaluator, series, block: list, tol: float) ->
     return levels
 
 
+def _check_window_top(evaluator: GreensEvaluator, window: EnergyWindow) -> None:
+    """Reject a window reaching past 90% of the truncated spectrum, where
+    diag_error, and with it every root's accuracy, is unbounded."""
+    if window.hi > 0.9 * evaluator.cutoff_energy:
+        raise ValidationError(f"window top {window.hi:.6g} is beyond 90% of the truncated "
+                              f"spectrum ({evaluator.cutoff_energy:.6g}); raise n_max")
+
+
 def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list[PerturbedLevel]:
     """Every root in the window, for any number of scatterers.
 
@@ -397,12 +405,7 @@ def _solve(evaluator: GreensEvaluator, window: EnergyWindow, tol: float) -> list
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
-    e_top = float(evaluator.energies[-1])
-    if window.hi > 0.9 * e_top:
-        raise ValidationError(
-            f"window top {window.hi:.6g} is beyond 90% of the truncated spectrum "
-            f"({e_top:.6g}); raise n_max"
-        )
+    _check_window_top(evaluator, window)
     poles = evaluator.energies[_pole_mask(evaluator)]
     gaps = [(a, b, _BETWEEN) for a, b in _gaps(evaluator, poles, window)]
     blocks = [gaps[k:k + LOCAL_BLOCK_GAPS] for k in range(0, len(gaps), LOCAL_BLOCK_GAPS)]

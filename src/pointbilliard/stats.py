@@ -21,7 +21,7 @@ from .basis import BilliardSpec
 from .errors import ValidationError
 from .greens import GreensEvaluator, ScattererSet
 from .solver import (DEFAULT_ROOT_TOL, LOCAL_BLOCK_GAPS, EnergyWindow, _block_series,
-                     _hybrid_root)
+                     _check_window_top, _hybrid_root)
 
 __all__ = [
     "REFERENCE_KINDS",
@@ -251,8 +251,14 @@ def coupling_band_range(inv_coupling: float, billiard: BilliardSpec,
         raise ValidationError(f"inverse coupling must be finite, got {inv_coupling!r}")
     if not (math.isfinite(lambda_scale) and lambda_scale > 0.0):
         raise ValidationError(f"lambda_scale must be positive, got {lambda_scale!r}")
-    centre = lambda_scale * math.exp(2.0 * math.pi * inv_coupling / billiard.mass)
     stretch = math.exp(0.5 * math.pi * math.pi)
+    try:
+        centre = lambda_scale * math.exp(2.0 * math.pi * inv_coupling / billiard.mass)
+    except OverflowError:
+        centre = math.inf
+    if not math.isfinite(centre * stretch):
+        raise ValidationError(
+            f"the band of inverse coupling {inv_coupling!r} lies beyond the float range")
     return (centre / stretch, centre, centre * stretch)
 
 
@@ -284,6 +290,7 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
     if window.lo <= 0.0:
         raise ValidationError(
             "survey window must be positive so the logarithmic reference exists")
+    _check_window_top(evaluator, window)
     energies = evaluator.energies
     first = int(np.searchsorted(energies, window.lo, side="left"))
     last = int(np.searchsorted(energies, window.hi, side="right"))
@@ -301,7 +308,7 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
     for k0 in range(0, n_gaps, LOCAL_BLOCK_GAPS):
         ends = inside[k0:k0 + LOCAL_BLOCK_GAPS + 1]
         a, b = ends[:-1], ends[1:]
-        series = _block_series(evaluator, float(a[0]), float(b[-1]), a.size, 4)
+        series = _block_series(evaluator, float(a[0]), float(b[-1]), a.size)
         start = np.minimum(evaluator.pole_exclusion, 1e-3 * (b - a))
         lo, hi = a + start, b - start
         probed = (a < lo) & (lo < hi) & (hi < b)

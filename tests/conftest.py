@@ -68,14 +68,6 @@ def make_evaluator(golden, big_table, positions, inv_couplings, n_max=3_000,
     return GreensEvaluator(golden, sc, GreensAccuracy(n_max=n_max), table=big_table)
 
 
-@pytest.fixture(scope="session")
-def evaluator_factory(golden, big_table):
-    def factory(positions, inv_couplings, **kwargs):
-        return make_evaluator(golden, big_table, positions, inv_couplings,
-                              **kwargs)
-    return factory
-
-
 def gap_midpoint(evaluator, k: int) -> float:
     e = evaluator.energies
     return float(0.5 * (e[k] + e[k + 1]))

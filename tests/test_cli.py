@@ -428,6 +428,38 @@ def test_survey_without_scatterers_is_validation_error(tmp_path, level_energy, c
     assert "at least one scatterer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "survey"])
+def test_window_past_the_cutoff_fraction_exits_2(tmp_path, capsys, command):
+    # 11640 is past 90% of the 3000-mode cutoff 11886, where diag_error is
+    # infinite: both subcommands refuse the window instead of reporting rows
+    cfg = write_config(tmp_path, window=(10_000.0, 11_640.0))
+    rc = cli.main([command, "--config", cfg])
+    assert rc == 2
+    assert "raise n_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "survey"])
+def test_lambda_scale_whose_square_overflows_exits_2(tmp_path, level_energy, capsys, command):
+    cfg = write_config(tmp_path, window=(level_energy(200), level_energy(240)),
+                       scatterers={"positions": [[GENERIC_X, 0.5923]], "inv_couplings": [0.3],
+                                   "lambda_scale": 1e160})
+    rc = cli.main([command, "--config", cfg])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "lambda_scale" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("inv, code", [(200.0, 2), (-200.0, 0)])
+def test_predict_band_beyond_float_range_exits_2(tmp_path, capsys, inv, code):
+    # at mass 1 the band centre of inverse coupling 200 is exp(400 pi), past
+    # the float range; that of -200 underflows to 0 and is reported
+    cfg = write_config(tmp_path, window=None,
+                       scatterers={"positions": [[GENERIC_X, 0.5923]], "inv_couplings": [inv]})
+    rc = cli.main(["predict", "--config", cfg, "--omega", "900"])
+    assert rc == code
+    assert ("inverse coupling 200.0" in capsys.readouterr().err) == (code == 2)
+
+
 def test_survey_csv_and_json_carry_identical_numbers(tmp_path, level_energy):
     cfg = write_config(tmp_path, window=(level_energy(700), level_energy(762)),
                        n_max=30_000)

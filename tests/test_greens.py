@@ -304,6 +304,8 @@ def test_scatterer_set_validation():
         ScattererSet(((0.1, math.nan),), (1.0,))
     with pytest.raises(ValidationError):
         ScattererSet(((0.1, 0.2),), (1.0,), lambda_scale=-2.0)
+    with pytest.raises(ValidationError, match="lambda_scale"):
+        ScattererSet(((0.1, 0.2),), (1.0,), lambda_scale=1e160)
     with pytest.raises(ValidationError):
         ScattererSet.from_couplings(((0.1, 0.2),), (0.0,))
     sc = ScattererSet.from_couplings(((0.1, 0.2),), (4.0,))
@@ -491,7 +493,7 @@ def test_local_view_matches_direct_sums(golden, big_table, data):
     # differ by its stated bound, and both by rounding on the scale of the
     # series' terms, which next to a pole is the near term's size
     ev, lo, hi = _local_case(golden, big_table, data)
-    view = ev.local(lo, hi, 4)
+    view = ev.local(lo, hi)
     assert isinstance(view, LocalGreens)
     e = ev.energies
     poles = e[(e >= lo) & (e <= hi)]

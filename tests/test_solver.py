@@ -492,6 +492,22 @@ def test_block_roots_do_not_depend_on_batch(golden, big_table, monkeypatch, firs
     assert shrinks or first != NODAL
 
 
+def test_wide_nodal_block_keeps_its_near_far_view(golden, big_table):
+    # the README configuration moved onto the nodal line x = 1/2: every
+    # even-mx mode has no weight, so the first 40-gap block of the README
+    # window spans [689.47, 1021.22], about 85 mean spacings, and its far
+    # part's error bound must still fit within 1% of diag_error
+    ev = make_evaluator(golden, big_table, [(0.5, 0.5922415440691261)], [0.3],
+                        n_max=30_000)
+    poles = ev.energies[_pole_mask(ev)]
+    block = list(_gaps(ev, poles, EnergyWindow(700.0, 1200.0)))[:40]
+    lo, hi = block[0][0], block[-1][1]
+    assert (round(lo, 2), round(hi, 2)) == (689.47, 1021.22)
+    view = _block_series(ev, lo, hi, len(block))
+    assert isinstance(view, greens.LocalGreens)
+    assert max(view.far_bound) <= greens.LOCAL_ERROR_SHARE * ev.diag_error(0, 0.5 * (lo + hi))
+
+
 def test_truncation_shift_bound_is_positive_and_small(ev1_30k):
     window = window_over_levels(ev1_30k, 300, 301)
     (level,) = solve_single(ev1_30k, window)

@@ -180,6 +180,9 @@ def test_band_energy_range_ratio(golden):
     assert centre == pytest.approx(math.exp(2.0 * math.pi * 0.7 / golden.mass), abs=1e-9)
     # the band's energy extent is a fixed multiplicative factor
     assert hi / lo == pytest.approx(math.exp(math.pi ** 2), rel=1e-12)
+    with pytest.raises(ValidationError, match="inverse coupling 200"):
+        coupling_band_range(200.0, golden)
+    assert coupling_band_range(-200.0, golden) == (0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------ inflection ---
