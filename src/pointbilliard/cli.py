@@ -34,7 +34,8 @@ from . import __version__
 from .basis import BilliardSpec, build_mode_table, mode_table_with_count
 from .errors import PointBilliardError, ValidationError
 from .greens import GreensAccuracy, GreensEvaluator, ScattererSet
-from .solver import DEFAULT_ROOT_TOL, EnergyWindow, solve_multi, solve_single
+from .solver import (DEFAULT_ROOT_TOL, EnergyWindow, _check_window_top, solve_multi,
+                     solve_single)
 from . import stats as statsmod
 
 EXIT_OK = 0
@@ -374,6 +375,7 @@ def cmd_survey(config: RunConfig, min_gaps: int = 30) -> ResultEnvelope:
     window = _require_window(config)
     evaluator = GreensEvaluator(config.billiard, config.scatterers,
                                 config.accuracy)
+    _check_window_top(evaluator, window)  # as spectrum does, even for a window with no gap
     energies = evaluator.energies
     inside = energies[(energies >= window.lo) & (energies <= window.hi)]
     if inside.size < 2:

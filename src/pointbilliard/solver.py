@@ -17,9 +17,10 @@ unperturbed levels and one bound state below them.
 
 The gaps are independent problems, solved a block at a time through one
 near/far view of the Green sums (GreensEvaluator.local): one evaluation
-probes every pole end of the block, and one vectorised iteration follows
-every crossing curve of the block, each element stepping exactly as it
-would alone and leaving the batch when it converges.
+probes every pole end of the block, one more per round counts the roots
+next to all its open ends, and one vectorised iteration follows every
+crossing curve, each element stepping exactly as it would alone and
+leaving the batch when it converges.
 
 All roots are reported with their bracketing gap, an estimate of the
 remaining root displacement as residual, and a kind tag.
@@ -286,62 +287,56 @@ def _curves(series, curve):
 
 def _pole_probe(evaluator: GreensEvaluator, series, poles, starts, signs):
     """Probe M at x = pole + sign * offset until no root lies closer, for
-    every pole end of a block.
+    every pole end of a block at once.
 
     Returns (x, sorted eigenvalues of M(x), number of roots between x and
     the pole), one row per end. The offset starts at start and shrinks
-    toward the pole; microscopic mode weights push roots very close in.
-    The first probes of all the ends are one evaluation. The last probe
-    sits 4 ulps from the pole, never closer: roots still missing there lie
-    within those 4 ulps. A probe whose negative count is at its extreme
-    (none right of the pole, all N left of it) misses nothing, and most
-    stop there. Otherwise the count at the pole decides: the pole's weight
-    rows U, one per mode at its energy, make rank U eigenvalues of M
-    diverge, to +inf on its right and -inf on its left; the others tend to
-    those of the regular part of M at the pole, compressed onto the
-    complement of the span of U. That compression of M itself holds no
-    pole term, so its first-order extrapolation from x fixes the rest of
-    the count. The mode values, the pole weight floor of the rank and the
-    energies come from evaluator; series (the evaluator or its near/far
-    view) supplies M and M'.
+    32-fold toward the pole, to 4 ulps from it at most; microscopic mode
+    weights push roots very close in, and roots still missing at 4 ulps lie
+    within them. A probe whose negative count is at its extreme (none right
+    of the pole, all N left of it) misses nothing, and most stop there.
+    Otherwise the count at the pole decides: the pole's weight rows U, one
+    per mode at its energy, make rank U eigenvalues of M diverge, to +inf on
+    its right and -inf on its left; the others tend to those of the regular
+    part of M at the pole, compressed onto the complement of span U. That
+    compression holds no pole term, so its first-order extrapolation from
+    x, R = M + (pole - x) M', fixes the rest of the count. Each round counts
+    all open ends at once, with one M' pass and one eigvalsh: in the
+    singular basis of U (one SVD of all ends' rows, zero-padded to the
+    largest degeneracy), R with unit pivots in place of the span's rows and
+    columns has the compression's eigenvalues and positive ones. evaluator
+    gives the mode values, energies and pole weight floor; series (the
+    evaluator or its near/far view) supplies M and M'.
     """
-    x = poles + signs * np.maximum(starts, 4.0 * np.spacing(np.abs(poles)))
+    floor = 4.0 * np.spacing(np.abs(poles))
+    x = poles + signs * np.maximum(starts, floor)
     vals, m = _eigenvalues(series, x)
-    missing = np.zeros(x.size, dtype=int)
+    missing, offset = np.zeros(x.size, dtype=int), starts.copy()
     extreme = np.where(signs > 0.0, 0, evaluator.n)
-    for k in np.flatnonzero(np.count_nonzero(vals < 0.0, axis=1) != extreme):
-        x[k], vals[k], missing[k] = _descend(evaluator, series, float(poles[k]),
-                                             float(starts[k]), float(signs[k]), x[k], vals[k], m[k])
+    k = np.flatnonzero(np.count_nonzero(vals < 0.0, axis=1) != extreme)  # the open ends
+    if not k.size:
+        return x, vals, missing
+    e, i = evaluator.energies, np.arange(evaluator.n)
+    first, stop = (np.searchsorted(e, poles, side)[:, None] for side in ("left", "right"))
+    index = first + np.arange(np.max(stop - first))
+    rows = np.where((index < stop)[..., None], evaluator.phi_values[index % e.size], 0.0)
+    sv, vt = np.linalg.svd(rows)[1:]
+    rank = np.count_nonzero(sv ** 2 > evaluator.pole_weight_floor, axis=1)
+    while k.size:
+        r = m[k] + (poles[k] - x[k])[:, None, None] * series.secular_orders(x[k], 1)[0]
+        pivot = np.minimum.outer(i, i) < rank[k, None, None]  # in the span's rows or columns
+        regular = np.where(pivot, np.eye(evaluator.n), vt[k] @ r @ vt[k].mT)
+        at_pole = (np.count_nonzero(np.linalg.eigvalsh(regular) < 0.0, axis=1)
+                   + np.where(signs[k] < 0.0, rank[k], 0))
+        missing[k] = signs[k] * (np.count_nonzero(vals[k] < 0.0, axis=1) - at_pole)
+        k = k[(missing[k] != 0) & (offset[k] > floor[k])]
+        if k.size:
+            offset[k] /= 32.0
+            x[k] = poles[k] + signs[k] * np.maximum(offset[k], floor[k])
+            vals[k], m[k] = _eigenvalues(series, x[k])
+            missing[k] = 0
+            k = k[np.count_nonzero(vals[k] < 0.0, axis=1) != extreme[k]]
     return x, vals, missing
-
-
-def _descend(evaluator: GreensEvaluator, series, pole: float, d: float, sign: float,
-             x: float, vals, m):
-    """_pole_probe's shrink loop for one end, from its first probe x at
-    offset d, with eigenvalues vals of M(x) = m."""
-    extreme = 0 if sign > 0.0 else evaluator.n
-    floor = 4.0 * math.ulp(pole)
-    q = None
-    while True:
-        count = int(np.count_nonzero(vals < 0.0))
-        missing = 0
-        if count != extreme:
-            if q is None:
-                e = evaluator.energies
-                rows = evaluator.phi_values[np.searchsorted(e, pole):np.searchsorted(e, pole, "right")]
-                _, sv, vt = np.linalg.svd(rows)
-                rank = int(np.sum(sv ** 2 > evaluator.pole_weight_floor))
-                q = vt[rank:].T
-            at_pole = rank if sign < 0.0 else 0
-            if q.size:
-                regular = q.T @ (m + (pole - x) * series.secular_orders(x, 1)[0]) @ q
-                at_pole += int(np.sum(np.linalg.eigvalsh(regular) < 0.0))
-            missing = int(sign * (count - at_pole))
-        if not missing or d <= floor:
-            return x, vals, missing
-        d /= 32.0
-        x = pole + sign * max(d, floor)
-        vals, m = _eigenvalues(series, x)
 
 
 def _solve_block(evaluator: GreensEvaluator, series, block: list, tol: float) -> list:

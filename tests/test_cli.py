@@ -431,11 +431,13 @@ def test_survey_without_scatterers_is_validation_error(tmp_path, level_energy, c
 @pytest.mark.parametrize("command", ["spectrum", "survey"])
 def test_window_past_the_cutoff_fraction_exits_2(tmp_path, capsys, command):
     # 11640 is past 90% of the 3000-mode cutoff 11886, where diag_error is
-    # infinite: both subcommands refuse the window instead of reporting rows
-    cfg = write_config(tmp_path, window=(10_000.0, 11_640.0))
-    rc = cli.main([command, "--config", cfg])
-    assert rc == 2
-    assert "raise n_max" in capsys.readouterr().err
+    # infinite: both subcommands refuse the window instead of reporting rows,
+    # also a window there too narrow to hold a gap
+    for window in [(10_000.0, 11_640.0), (11_700.0, 11_700.5)]:
+        cfg = write_config(tmp_path, window=window)
+        rc = cli.main([command, "--config", cfg])
+        assert rc == 2, window
+        assert "raise n_max" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["spectrum", "survey"])

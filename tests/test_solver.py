@@ -1,6 +1,7 @@
 """Root finding against scipy brackets, dense determinant scans, and limits."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from pointbilliard import ValidationError, greens, solver
+from pointbilliard import ValidationError, greens
 from pointbilliard.basis import BilliardSpec, mode_table_with_count
 from pointbilliard.errors import PoleProximityError
 from pointbilliard.solver import (
@@ -18,6 +19,7 @@ from pointbilliard.solver import (
     _gaps,
     _hybrid_root,
     _pole_mask,
+    _pole_probe,
     _solve_block,
     build_eigenfunction,
     solve_multi,
@@ -462,8 +464,7 @@ NODAL = (0.5 + 3e-7, GENERIC_Y_FRACTION)
     (NODAL, [], 2_400),
     (NODAL, [(SECOND_X, SECOND_Y_FRACTION)], 2_400),
 ])
-def test_block_roots_do_not_depend_on_batch(golden, big_table, monkeypatch, first, others,
-                                            start):
+def test_block_roots_do_not_depend_on_batch(golden, big_table, first, others, start):
     # a 40-gap block solved at once through one near/far view against each of
     # its gaps solved alone, as a batch of one, through the same view.  3e-7
     # off the nodal line x = 1/2 every even-mx mode keeps a tiny weight, so
@@ -476,20 +477,107 @@ def test_block_roots_do_not_depend_on_batch(golden, big_table, monkeypatch, firs
     block = [(a, b, "between-poles") for a, b in _gaps(ev, poles, window)]
     series = _block_series(ev, block[0][0], block[-1][1], len(block))
     assert len(block) == 40 and isinstance(series, greens.LocalGreens)
-    shrinks = []
-    descend = solver._descend
-
-    def counted(*args):
-        shrinks.append(args[2])
-        return descend(*args)
-
-    monkeypatch.setattr(solver, "_descend", counted)
     together = _solve_block(ev, series, block, 1e-9)
     alone = [lv for gap in block for lv in _solve_block(ev, series, [gap], 1e-9)]
     assert together
     assert [(lv.omega, lv.residual) for lv in together] == [(lv.omega, lv.residual)
                                                           for lv in alone]
-    assert shrinks or first != NODAL
+    # the block's pole ends, probed as _solve_block probes them: alone, the
+    # nodal scatterer's probes shrink toward weak poles; beside a second
+    # scatterer none shrinks, but the count at the pole decides some ends
+    a, b = np.array([gap[:2] for gap in block]).T
+    ends, signs = np.concatenate([a, b]), np.repeat([1.0, -1.0], a.size)
+    offsets = np.tile(np.minimum(ev.pole_exclusion, 1e-3 * (b - a)), 2)
+    x, vals, _ = _pole_probe(ev, series, ends, offsets, signs)
+    shrunk = np.abs(x - ends) < offsets
+    counted = np.count_nonzero(vals < 0.0, axis=1) != np.where(signs > 0.0, 0, ev.n)
+    assert first != NODAL or (counted.any() if others else shrunk.any())
+
+
+class _LinearSeries:
+    """A stand-in series: M(x) = A_k + (x - pole_k) B_k next to pole k."""
+
+    def __init__(self, poles, a, b):
+        self.n, self.poles, self.a, self.b = a.shape[-1], poles, a, b
+
+    def secular_orders(self, x, first=0, count=1):
+        k = np.abs(x[:, None] - self.poles).argmin(axis=1)
+        orders = [self.a[k] + (x - self.poles[k])[:, None, None] * self.b[k], self.b[k]]
+        return orders[first:first + count]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
+       ends=st.lists(st.tuples(st.lists(st.sampled_from(["random", "zero", "scaled"]),
+                                        min_size=1, max_size=3), st.booleans()),
+                     min_size=1, max_size=4), start=st.floats(1e-6, 3.0))
+def test_pole_count_matches_compression_oracle(n, seed, ends, start):
+    # every end of one batched _pole_probe call against its own count at the
+    # pole: neg(q^T R q), q the complement of the span of the pole's weight
+    # rows from their SVD, R = M + (pole - x) M', plus the rank on a left end.
+    # Weight rows may be zero or multiples of an earlier row, so ranks differ
+    # between the ends; a mode of another energy follows each pole
+    rng = np.random.default_rng(seed)
+    floor = 1e-20
+    poles = 100.0 + 10.0 * np.arange(len(ends))
+    energies, phi, pole_rows = [], [], []
+    for pole, (kinds, _) in zip(poles, ends):
+        rows = []
+        for kind in kinds:
+            if kind == "zero":
+                rows.append(np.zeros(n))
+            elif kind == "scaled" and rows:
+                rows.append(rng.uniform(-2.0, 2.0) * rows[0])
+            else:
+                rows.append(rng.normal(size=n))
+        pole_rows.append(np.array(rows))
+        energies += [pole] * len(rows) + [pole + 5.0]
+        phi += rows + [rng.normal(size=n)]
+    evaluator = SimpleNamespace(n=n, energies=np.array(energies), phi_values=np.array(phi),
+                                pole_weight_floor=floor)
+    a, b = rng.normal(size=(2, len(ends), n, n))
+    series = _LinearSeries(poles, a + a.mT, b + b.mT)
+    signs = np.array([-1.0 if left else 1.0 for _, left in ends])
+    x, vals, missing = _pole_probe(evaluator, series, poles, np.full(len(ends), start), signs)
+    m, m_slope = series.secular_orders(x, 0, 2)
+    for k, sign in enumerate(signs):
+        count = int(np.count_nonzero(vals[k] < 0.0))
+        if count == (0 if sign > 0.0 else n):
+            assert missing[k] == 0
+            continue
+        _, sv, vt = np.linalg.svd(pole_rows[k])
+        assume(not np.any((floor / 100.0 < sv ** 2) & (sv ** 2 < 100.0 * floor)))
+        rank = int(np.sum(sv ** 2 > floor))
+        q = vt[rank:].T
+        regular = np.linalg.eigvalsh(q.T @ (m[k] + (poles[k] - x[k]) * m_slope[k]) @ q)
+        assume(np.all(np.abs(regular) > 1e-9))
+        at_pole = int(np.sum(regular < 0.0)) + (rank if sign < 0.0 else 0)
+        assert missing[k] == sign * (count - at_pole)
+
+
+def test_pole_probe_count_costs_two_series_passes(golden, big_table):
+    # 8 scatterers: most pole ends of a 40-gap block have a negative count
+    # off its extreme, and all are counted at the pole together, with one M
+    # pass for the first probes and one M' pass, whatever their number
+    rng = np.random.default_rng(3)
+    positions = [(fx * golden.lx, fy * golden.ly) for fx, fy in rng.uniform(0.05, 0.95, (8, 2))]
+    ev = make_evaluator(golden, big_table, positions, rng.uniform(-0.5, 1.5, 8))
+    poles = ev.energies[_pole_mask(ev)]
+    block = list(_gaps(ev, poles, EnergyWindow(float(poles[1_500]), float(poles[1_540]))))
+    series = _block_series(ev, block[0][0], block[-1][1], len(block))
+    assert len(block) == 40 and isinstance(series, greens.LocalGreens)
+    calls = []
+    orders = series.secular_orders
+    series.secular_orders = lambda *args: calls.append(args) or orders(*args)
+    a, b = np.array(block).T
+    ends, signs = np.concatenate([a, b]), np.repeat([1.0, -1.0], a.size)
+    offsets = np.tile(np.minimum(ev.pole_exclusion, 1e-3 * (b - a)), 2)
+    x, vals, missing = _pole_probe(ev, series, ends, offsets, signs)
+    counted = np.count_nonzero(vals < 0.0, axis=1) != np.where(signs > 0.0, 0, 8)
+    assert counted.sum() >= 40
+    assert np.all(x == ends + signs * np.maximum(offsets, 4.0 * np.spacing(ends)))  # no shrink
+    assert not missing.any()
+    assert len(calls) == 2
 
 
 def test_wide_nodal_block_keeps_its_near_far_view(golden, big_table):
