@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .basis import BilliardSpec, build_mode_table, mode_table_with_count
+from .basis import BilliardSpec, build_mode_table
 from .errors import PointBilliardError, ValidationError
 from .greens import GreensAccuracy, GreensEvaluator, ScattererSet
 from .solver import (DEFAULT_ROOT_TOL, EnergyWindow, _check_window_top, solve_multi,
@@ -324,9 +324,10 @@ def cmd_stats(config: RunConfig, levels=None, bins: int = 24) -> ResultEnvelope:
 def cmd_sweep(config: RunConfig, grid, workers: int = 1) -> ResultEnvelope:
     """Level count and KS distances of `stats` over a grid of inverse couplings.
 
-    Rows are independent and solved concurrently; failures are recorded
-    per row and the sweep continues.  Single scatterer only: for several
-    scatterers there is no single coupling axis to sweep.
+    Rows are independent and solved concurrently through one evaluator,
+    since no series reads the coupling (with_inv_couplings); failures are
+    recorded per row and the sweep continues.  Single scatterer only: for
+    several scatterers there is no single coupling axis to sweep.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -336,13 +337,12 @@ def cmd_sweep(config: RunConfig, grid, workers: int = 1) -> ResultEnvelope:
             f"sweep varies one coupling; config has {config.scatterers.n} "
             f"scatterers")
     window = _require_window(config)
-    table = mode_table_with_count(config.billiard, config.accuracy.n_max)
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    evaluator = GreensEvaluator(config.billiard, config.scatterers, config.accuracy)
 
     def one(inv: float) -> dict:
-        scat = config.scatterers.with_inv_coupling(0, inv)
-        ev = GreensEvaluator(config.billiard, scat, config.accuracy,
-                             table=table)
-        levels = solve_single(ev, window, tol=config.tol)
+        levels = solve_single(evaluator.with_inv_couplings((inv,)), window, tol=config.tol)
         omegas = np.array([lv.omega for lv in levels])
         spacings = _unfolded(config, omegas).spacings()
         return {"vbar_inv": inv, "n_levels": int(omegas.size),
@@ -357,8 +357,6 @@ def cmd_sweep(config: RunConfig, grid, workers: int = 1) -> ResultEnvelope:
             return {"vbar_inv": inv, "n_levels": 0, "ks_poisson": None,
                     "ks_goe": None, "status": f"error: {exc}"}
 
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     from concurrent.futures import ThreadPoolExecutor  # only sweep pays its import
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -477,8 +475,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output {out!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

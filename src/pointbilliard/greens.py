@@ -30,16 +30,18 @@ noise, not a pole; the evaluator zeroes it once, so every series, the solver's
 poles and the survey's curvature see the same weights.
 
 Every series is a pass of one kernel, _sums, giving omega-derivatives of chosen
-orders over a slice of the modes.  diag, diag_derivative, offdiag,
-secular_matrix and the two _batch forms first reject a non-finite omega or one
-inside the pole exclusion band; the unchecked diag_orders and secular_orders
-serve the root finders, whose probes come within a few ulps of a pole.  These
-two also take an array of omegas, one kernel row per point.  Every sum is a
-row reduction, one BLAS dot per point and weight column (np.vecdot), never a
-matrix product, so an entry is the same bit for bit whichever other points and
-columns are evaluated with it: a point alone or in a batch, a scatterer alone
-or among others.  The evaluator's own full-length sums take the points one at
-a time, so no points x n_eff kernel is formed.
+orders over a slice of the modes.  The series hold no coupling: the secular
+matrix is G - diag(inv_couplings), and only secular_matrix and the solver
+subtract the couplings, so one evaluator or view serves any of them.  diag,
+diag_derivative, offdiag, secular_matrix and the two _batch forms first reject
+a non-finite omega or one inside the pole exclusion band; the unchecked
+secular_orders, of G, serves the root finders, whose probes come within a few
+ulps of a pole, and takes an array of omegas, one kernel row per point.  Every
+sum is a row reduction, one BLAS dot per point and weight column (np.vecdot),
+never a matrix product, so an entry is the same bit for bit whichever other
+points and columns are evaluated with it: a point alone or in a batch, a
+scatterer alone or among others.  The evaluator's own full-length sums take
+the points one at a time, so no points x n_eff kernel is formed.
 
 Near/far split (GreensEvaluator.local): over a block [lo, hi] of gaps the
 series splits at the modes in [lo, hi] plus LOCAL_NEIGHBOURS on each side.
@@ -193,48 +195,31 @@ def _sums(omega, energies, weights, first: int = 0, count: int = 1):
 
 
 class _SeriesForms:
-    """The unchecked series methods of GreensEvaluator and of its local views.
+    """The unchecked series form of GreensEvaluator and of its local views.
 
-    Both sum weight columns through self._series(omega, columns, first, count),
-    which returns, per order, the sums of the columns selected by the index
-    columns, of shape omega.shape + (columns,); column self._column[i, j]
-    holds the weights of secular-matrix entry (i, j), one per upper-triangle
-    entry, in the row-by-row order of the triangle.  omega is a scalar or an
-    array of points, and each point's values are those it has alone.
+    Both sum every weight column through self._series(omega, first, count),
+    which returns, per order, the sums of shape omega.shape + (columns,);
+    column self._column[i, j] holds the weights of entry (i, j), one per
+    upper-triangle entry, column i that of diagonal entry (i, i).  omega is
+    a scalar or an array of points, and each point's values are those it has
+    alone.
     """
 
-    def diag_orders(self, i: int, omega, first: int = 0, count: int = 1) -> list:
-        """Omega-derivatives of diag(i, omega) of orders first .. first+count-1,
-        from one kernel and without the pole check.  Orders 2 and 3 are the
-        curvature 2 sum phi^2/(omega - e_n)^3 and -6 sum phi^2/(omega - e_n)^4
-        plus the tail's, the latter negative everywhere."""
-        c = self._column[i, i]
-        out = []
-        for order, sums in enumerate(self._series(omega, slice(c, c + 1), first, count), first):
-            value = sums[..., 0]
-            if order == 0:
-                value = value + self._counterterm[i]
-            out.append(value + self.tail_correction(omega, order))
-        return out
-
     def secular_orders(self, omega, first: int = 0, count: int = 1) -> list:
-        """Omega-derivatives of the secular matrix of orders first .. first+count-1,
-        from one kernel and without the pole check, each of shape
-        omega.shape + (N, N).  Order 0 is diag_i - inv_i on the diagonal and the
-        free Green function off it; every higher order is symmetric, and order 1
-        is negative definite at real omega."""
+        """Omega-derivatives of the Green matrix G of orders first ..
+        first+count-1, from one kernel and without the pole check, each of
+        shape omega.shape + (N, N).  G is diag_i on the diagonal and the free
+        Green function off it, with no coupling; every order is symmetric, and
+        order 1 is negative definite at real omega."""
         n = self.n
         mats = []
-        for order, sums in enumerate(self._series(omega, slice(None), first, count), first):
-            out = sums[..., self._column]
-            diagonal = out.reshape(*np.shape(omega), n * n)[..., ::n + 1]  # a view
-            # one term at a time, in diag()'s order, so the diagonal is diag() - inv exactly
+        for order, sums in enumerate(self._series(omega, first, count), first):
+            diagonal = sums[..., :n]  # a view of the diagonal entries' columns
+            # one term at a time: the sums, the counterterm, then the tail
             if order == 0:
                 diagonal += self._counterterm
             diagonal += np.asarray(self.tail_correction(omega, order))[..., None]
-            if order == 0:
-                diagonal -= self.scatterers.inv_couplings
-            mats.append(out)
+            mats.append(sums[..., self._column])
         return mats
 
 
@@ -286,18 +271,17 @@ class GreensEvaluator(_SeriesForms):
         self._deficiency = np.array([(p ** 2 / denom).sum() for p in phi.T])
         self._profile = self._block_profile()
         # weight column c of the series, row c here, one per upper-triangle entry
-        # (i, j) of the secular matrix: phi_i phi_j, times the block-average
-        # profile off the diagonal
+        # (i, j) of the secular matrix, the N diagonal ones first: phi_i phi_j,
+        # times the block-average profile off the diagonal
+        entries = [(i, i) for i in range(self.n)] + [
+            (i, j) for i in range(self.n) for j in range(i + 1, self.n)]
         self._column = np.empty((self.n, self.n), dtype=int)
-        self._columns = np.empty((self.n * (self.n + 1) // 2, self.n_eff))
-        c = 0
-        for i in range(self.n):
-            for j in range(i, self.n):
-                self._column[i, j] = self._column[j, i] = c
-                np.multiply(phi[:, i], phi[:, j], out=self._columns[c])
-                if i != j:
-                    self._columns[c] *= self._profile
-                c += 1
+        self._columns = np.empty((len(entries), self.n_eff))
+        for c, (i, j) in enumerate(entries):
+            self._column[i, j] = self._column[j, i] = c
+            np.multiply(phi[:, i], phi[:, j], out=self._columns[c])
+            if i != j:
+                self._columns[c] *= self._profile
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -326,20 +310,30 @@ class GreensEvaluator(_SeriesForms):
         """Weight column of secular-matrix entry (i, j)."""
         return self._columns[self._column[i, j]]
 
-    def _series(self, omega, columns, first: int = 0, count: int = 1):
-        """_sums of the selected weight columns over every mode, for an array
-        of points one point at a time: a points x n_eff kernel would not fit
-        the cache, and a row per point sums alike either way."""
-        weights = self._columns[columns]
+    def _series(self, omega, first: int = 0, count: int = 1):
+        """_sums of the weight columns over every mode, for an array of points
+        one point at a time: a points x n_eff kernel would not fit the cache,
+        and a row per point sums alike either way."""
+        weights = self._columns
         if np.ndim(omega) == 0:
             return _sums(omega, self.energies, weights, first, count)
         sums = [_sums(w, self.energies, weights, first, count) for w in np.ravel(omega)]
         return [np.reshape([point[k] for point in sums], (*np.shape(omega), len(weights)))
                 for k in range(count)]
 
+    def with_inv_couplings(self, inv_couplings) -> "GreensEvaluator":
+        """This evaluator with other inverse couplings, validated by
+        ScattererSet.  No series reads them, so the table, phi, the weight
+        columns, the counterterm and the deficiency arrays are shared, not
+        copied; only secular_matrix and the solver see the new couplings."""
+        twin = object.__new__(GreensEvaluator)
+        twin.__dict__.update(self.__dict__, scatterers=ScattererSet(
+            self.scatterers.positions, inv_couplings, self.scatterers.lambda_scale))
+        return twin
+
     def local(self, lo: float, hi: float):
-        """The unchecked series methods for omega in [lo, hi], orders up to
-        LOCAL_MAX_ORDER, from the near/far split of the module docstring.
+        """secular_orders for omega in [lo, hi], orders up to LOCAL_MAX_ORDER,
+        from the near/far split of the module docstring.
 
         Returns a LocalGreens view, or the evaluator itself when the block is
         empty, no mode is far, or a far part's error bound exceeds LOCAL_ERROR_SHARE
@@ -410,12 +404,12 @@ class GreensEvaluator(_SeriesForms):
     def diag(self, i: int, omega):
         """Renormalised diagonal Green function at scatterer i."""
         self.check_pole_distance(omega)
-        return self.diag_orders(i, omega)[0]
+        return self.secular_orders(omega)[0][i, i]
 
     def diag_derivative(self, i: int, omega):
         """d/domega of the renormalised diagonal series (always negative)."""
         self.check_pole_distance(omega)
-        return self.diag_orders(i, omega, 1)[0]
+        return self.secular_orders(omega, 1)[0][i, i]
 
     def counterterm(self, i: int) -> float:
         """The subtraction constant sum phi^2 * eps/(eps^2+lam^2) at scatterer i."""
@@ -458,7 +452,7 @@ class GreensEvaluator(_SeriesForms):
                 "off-diagonal series requires distinct scatterer indices; "
                 "the i == j case is the renormalised diagonal diag()")
         self.check_pole_distance(omega)
-        return _sums(omega, self.energies, self._entry(i, j)[None])[0][0]
+        return self.secular_orders(omega)[0][i, j]
 
     # -- secular matrix ----------------------------------------------------
 
@@ -466,7 +460,7 @@ class GreensEvaluator(_SeriesForms):
         """Inverse T-matrix: diagonal diag_i - inv_coupling_i, off-diagonal
         the free Green function between scatterers."""
         self.check_pole_distance(omega)
-        return self.secular_orders(omega)[0]
+        return self.secular_orders(omega)[0] - np.diag(self.scatterers.inv_couplings)
 
     def secular_matrix_batch(self, omegas) -> np.ndarray:
         """Stacked secular matrices for a vector of real omegas."""
@@ -500,8 +494,9 @@ class GreensEvaluator(_SeriesForms):
 
 
 class LocalGreens(_SeriesForms):
-    """diag_orders and secular_orders of an evaluator for omega in [lo, hi]
-    and orders up to LOCAL_MAX_ORDER, built by GreensEvaluator.local.
+    """secular_orders of an evaluator for omega in [lo, hi] and orders up to
+    LOCAL_MAX_ORDER, built by GreensEvaluator.local.  Like the evaluator's
+    series it holds no coupling, so it serves every set of inverse couplings.
 
     Each series is the near sum, by _sums over modes n0 .. n1-1, plus the far
     part's Taylor series, whose error is at most far_bound[k] at order k.  A
@@ -516,7 +511,6 @@ class LocalGreens(_SeriesForms):
     def __init__(self, evaluator: GreensEvaluator, lo: float, hi: float, n0: int, n1: int,
                  far_bound: tuple):
         self.n = evaluator.n
-        self.scatterers = evaluator.scatterers
         self.tail_correction = evaluator.tail_correction
         self.far_bound = far_bound
         self._column = evaluator._column
@@ -541,13 +535,12 @@ class LocalGreens(_SeriesForms):
         factorials = np.array([math.factorial(m) for m in range(table.shape[1])], dtype=float)
         self._table = table * factorials * (-1.0) ** np.arange(table.shape[1])
 
-    def _series(self, omega, columns, first: int = 0, count: int = 1):
-        """_sums of the selected weight columns: the near slice exactly, the
-        far modes by their Taylor expansion."""
-        near = _sums(omega, self._near_energies, self._near[columns], first, count)
+    def _series(self, omega, first: int = 0, count: int = 1):
+        """_sums of the weight columns: the near slice exactly, the far modes
+        by their Taylor expansion."""
+        near = _sums(omega, self._near_energies, self._near, first, count)
         s = (np.asarray(omega)[..., None, None] - self._centre) / self._half
         steps = np.ones((*np.shape(omega), 1, LOCAL_TERMS))  # s^j/j! as a running product
         np.cumprod(s / np.arange(1.0, LOCAL_TERMS), axis=-1, out=steps[..., 1:])
-        table = self._table[columns]
-        return [sums + np.vecdot(steps, table[:, k:k + LOCAL_TERMS]) / self._half ** (k + 1)
+        return [sums + np.vecdot(steps, self._table[:, k:k + LOCAL_TERMS]) / self._half ** (k + 1)
                 for k, sums in enumerate(near, first)]

@@ -1,10 +1,12 @@
 """Perturbed-spectrum root finding and eigenfunction assembly.
 
 Every level is a root of the secular determinant: a zero eigenvalue of
-the N x N secular matrix M, the inverse T-matrix. M' is negative definite,
-so each sorted eigenvalue curve decreases strictly in energy and crosses
-zero at most once between consecutive poles, and once more at most below
-the first pole, where one to N states are always bound. The
+the N x N secular matrix M = G - diag(inv), the inverse T-matrix; the
+series give G, and the solver subtracts the inverse couplings. M' is
+negative definite, so each sorted eigenvalue curve decreases strictly in
+energy and crosses zero at most once between consecutive poles, and once
+more at most below the first pole, where one to N states are always
+bound. The
 negative-eigenvalue counts at the two ends of such a gap name the curves
 that cross, and one bracketed iteration finds each root; root multiplicity
 is the number of curves crossing at the same energy. Each step of that
@@ -102,10 +104,14 @@ class EigenfunctionRep:
     tail_weight: float
 
     def evaluate(self, evaluator: GreensEvaluator, points) -> np.ndarray:
-        """Value of the eigenfunction at points, shape (..., 2)."""
+        """Values of the eigenfunction at points of shape (..., 2), of shape
+        points.shape[:-1]: each point's value is the one it has alone."""
         pts = np.asarray(points, dtype=float)
-        cols = basis_column(evaluator.table, pts)[: self.coefficients.size]
-        return np.tensordot(self.coefficients, cols, axes=(0, 0))
+        if pts.shape[-1:] != (2,):
+            raise ValidationError(f"points must have shape (..., 2), got {pts.shape}")
+        size = self.coefficients.size
+        return np.reshape([self.coefficients @ basis_column(evaluator.table, p)[:size]
+                           for p in pts.reshape(-1, 2)], pts.shape[:-1])
 
 
 def _pole_mask(evaluator: GreensEvaluator) -> np.ndarray:
@@ -246,37 +252,29 @@ def _block_series(evaluator: GreensEvaluator, lo: float, hi: float, n_gaps: int)
     return evaluator.local(lo, hi)
 
 
-def _eigenvalues(series, x):
-    """(sorted eigenvalues of M(x), M(x)) for an array of points x, with M the
-    secular matrix summed by series (the evaluator or a near/far view) without
-    the pole check: probes come within 4 ulps of a pole. For one scatterer M
-    is diag - inv, summed by diag_orders (see _curves)."""
-    if series.n == 1:
-        m = (series.diag_orders(0, x)[0] - series.scatterers.inv_couplings[0])[..., None, None]
-        return m[..., 0], m
-    m = series.secular_orders(x)[0]
-    return np.linalg.eigvalsh(m), m
+def _eigenvalues(series, inv, x):
+    """(sorted eigenvalues of M(x), M(x)) for an array of points x, with M =
+    G - diag(inv), G summed by series (the evaluator or a near/far view)
+    without the pole check: probes come within 4 ulps of a pole. For one
+    scatterer M is its own eigenvalue (see _curves)."""
+    m = series.secular_orders(x)[0] - np.diag(inv)
+    return (m[..., 0] if series.n == 1 else np.linalg.eigvalsh(m)), m
 
 
-def _curves(series, curve):
+def _curves(series, inv, curve):
     """f_and_slope of _hybrid_root for the sorted eigenvalue curves of M:
-    element k follows curve[k]. M and M' come from one kernel, and the slope
-    is the Hellmann-Feynman v^T M' v of eigenvector v; all points share one
-    eigh on the stack of their matrices. For one scatterer M is diag - inv
-    with slope diag', the same values bit for bit, summed by diag_orders:
-    going through secular_orders and eigh costs about 7 % of the
-    one-scatterer solve throughput at 100k modes."""
-    if series.n == 1:
-        inv = series.scatterers.inv_couplings[0]
-
-        def scalar(x, k):
-            value, slope = series.diag_orders(0, x, 0, 2)
-            return value - inv, slope
-
-        return scalar
+    element k follows curve[k]. M = G - diag(inv) and M' come from one
+    kernel, and the slope is the Hellmann-Feynman v^T M' v of eigenvector v;
+    all points share one eigh on the stack of their matrices. For one
+    scatterer M is the curve and M' its slope, with no eigh: going through
+    eigh makes a 40-gap block at 100k modes 27 % slower through a prebuilt
+    view (0.82 to 1.04 ms), and a solve_single call 5 % slower."""
 
     def f_and_slope(x, k):
         m, m_slope = series.secular_orders(x, 0, 2)
+        m -= np.diag(inv)
+        if series.n == 1:
+            return m[:, 0, 0], m_slope[:, 0, 0]
         vals, vecs = np.linalg.eigh(m)
         rows, t = np.arange(x.size), curve[k]
         v = vecs[rows, :, t]
@@ -308,9 +306,9 @@ def _pole_probe(evaluator: GreensEvaluator, series, poles, starts, signs):
     gives the mode values, energies and pole weight floor; series (the
     evaluator or its near/far view) supplies M and M'.
     """
-    floor = 4.0 * np.spacing(np.abs(poles))
+    floor, inv = 4.0 * np.spacing(np.abs(poles)), evaluator.scatterers.inv_couplings
     x = poles + signs * np.maximum(starts, floor)
-    vals, m = _eigenvalues(series, x)
+    vals, m = _eigenvalues(series, inv, x)
     missing, offset = np.zeros(x.size, dtype=int), starts.copy()
     extreme = np.where(signs > 0.0, 0, evaluator.n)
     k = np.flatnonzero(np.count_nonzero(vals < 0.0, axis=1) != extreme)  # the open ends
@@ -333,7 +331,7 @@ def _pole_probe(evaluator: GreensEvaluator, series, poles, starts, signs):
         if k.size:
             offset[k] /= 32.0
             x[k] = poles[k] + signs[k] * np.maximum(offset[k], floor[k])
-            vals[k], m[k] = _eigenvalues(series, x[k])
+            vals[k], m[k] = _eigenvalues(series, inv, x[k])
             missing[k] = 0
             k = k[np.count_nonzero(vals[k] < 0.0, axis=1) != extreme[k]]
     return x, vals, missing
@@ -344,11 +342,11 @@ def _solve_block(evaluator: GreensEvaluator, series, block: list, tol: float) ->
     series: one _pole_probe for all its pole ends and one _hybrid_root for all
     its crossing curves. A below-ground block is that one gap."""
     a, b = np.array([gap[0] for gap in block]), np.array([gap[1] for gap in block])
-    kind = block[0][2]
+    kind, inv = block[0][2], evaluator.scatterers.inv_couplings
     start = np.minimum(evaluator.pole_exclusion, 1e-3 * (b - a))
     n = a.size
     if kind == _BELOW:  # a is the window edge, not a pole
-        lo, (vals_lo, _), missing_lo = a, _eigenvalues(series, a), np.zeros(1, dtype=int)
+        lo, (vals_lo, _), missing_lo = a, _eigenvalues(series, inv, a), np.zeros(1, dtype=int)
         hi, vals_hi, missing_hi = _pole_probe(evaluator, series, b, start, np.full(1, -1.0))
     else:
         x, vals, missing = _pole_probe(evaluator, series, np.concatenate([a, b]),
@@ -364,7 +362,7 @@ def _solve_block(evaluator: GreensEvaluator, series, block: list, tol: float) ->
     # a zero is not yet negative: the root is lo
     roots, resids, run = lo[g], np.zeros(g.size), f_lo != 0.0
     roots[run], resids[run] = _hybrid_root(
-        _curves(series, t[run]), None if kind == _BELOW else a[g[run]], b[g[run]],
+        _curves(series, inv, t[run]), None if kind == _BELOW else a[g[run]], b[g[run]],
         lo[g[run]], f_lo[run], hi[g[run]], f_hi[run], tol)
     crossings = iter(zip(roots.tolist(), resids.tolist()))
     levels = []

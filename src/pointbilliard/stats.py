@@ -312,8 +312,8 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
         start = np.minimum(evaluator.pole_exclusion, 1e-3 * (b - a))
         lo, hi = a + start, b - start
         probed = (a < lo) & (lo < hi) & (hi < b)
-        f_lo, f_hi = np.split(series.diag_orders(0, np.concatenate([lo[probed], hi[probed]]),
-                                                 2)[0], 2)
+        f_lo, f_hi = np.split(series.secular_orders(np.concatenate([lo[probed], hi[probed]]),
+                                                    2)[0][:, 0, 0], 2)
         # zero-weight mode on one side: no pole, no curvature flip
         flips = np.zeros(a.size, dtype=bool)
         flips[probed] = (f_lo > 0.0) & (f_hi < 0.0)
@@ -321,10 +321,10 @@ def gbar_inflection_survey(evaluator: GreensEvaluator, window: EnergyWindow,
             reason = "too narrow to probe inside" if not probed[k] else "shows no curvature sign change"
             skipped.append(f"gap [{a[k]:.9g}, {b[k]:.9g}] {reason}")
         solved = flips[probed]
-        omega, _ = _hybrid_root(lambda x, _: series.diag_orders(0, x, 2, 2), a[flips], b[flips],
-                                lo[flips], f_lo[solved], hi[flips], f_hi[solved],
-                                DEFAULT_ROOT_TOL)
-        gbar, slope = series.diag_orders(0, omega, 0, 2)
+        omega, _ = _hybrid_root(lambda x, _: [g[:, 0, 0] for g in series.secular_orders(x, 2, 2)],
+                                a[flips], b[flips], lo[flips], f_lo[solved], hi[flips],
+                                f_hi[solved], DEFAULT_ROOT_TOL)
+        gbar, slope = (g[:, 0, 0] for g in series.secular_orders(omega, 0, 2))
         for w, g, slope_w, gap_a, gap_b in zip(omega.tolist(), gbar.tolist(),
                                                np.abs(slope).tolist(), a[flips].tolist(),
                                                b[flips].tolist()):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointbilliard import cli
+from pointbilliard import basis, cli
 from pointbilliard.errors import RootBracketError, ValidationError
 
 from conftest import GENERIC_X, GENERIC_Y_FRACTION
@@ -381,6 +382,50 @@ def test_sweep_workers_do_not_change_output(tmp_path, level_energy):
     doc = json.loads(par)
     assert [r["vbar_inv"] for r in doc["rows"]] == [-0.5, 0.25, 1.0]
     assert doc["diagnostics"]["failed_rows"] == 0
+
+
+def test_sweep_rows_share_one_evaluator(tmp_path, level_energy, monkeypatch):
+    # the rows differ only in the coupling, which no series reads: the sweep
+    # builds one evaluator, and each row matches stats run on its coupling
+    config = cli.load_config(write_config(tmp_path, window=(level_energy(200),
+                                                            level_energy(330))))
+    built, init = [], cli.GreensEvaluator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.GreensEvaluator, "__init__", counted)
+    rows = cli.cmd_sweep(config, [-0.5, 1.0], workers=2).rows
+    assert len(built) == 1
+    for row in rows:
+        scatterers = config.scatterers.with_inv_coupling(0, row["vbar_inv"])
+        stats = cli.cmd_stats(dataclasses.replace(config, scatterers=scatterers)).diagnostics
+        assert row["status"] == "ok"
+        assert (row["n_levels"], row["ks_poisson"], row["ks_goe"]) == (
+            stats["n_levels"], stats["ks_poisson"], stats["ks_goe"])
+
+
+def test_sweep_rejects_workers_below_one_before_building(tmp_path, level_energy, capsys,
+                                                         monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mode table or an evaluator was built")
+
+    monkeypatch.setattr(cli, "GreensEvaluator", refuse)
+    monkeypatch.setattr(basis, "build_mode_table", refuse)
+    cfg = write_config(tmp_path, window=(level_energy(200), level_energy(330)))
+    rc, _ = run_cli(["sweep", "--config", cfg, "--grid", "0.3", "--workers", "0"], tmp_path)
+    assert rc == 2
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_out_exits_2(tmp_path, level_energy, capsys, target):
+    # a missing directory or a directory path, as an unreadable --config is
+    cfg = write_config(tmp_path, window=(level_energy(200), level_energy(330)))
+    rc = cli.main(["predict", "--config", cfg, "--out", str(tmp_path / target)])
+    assert rc == 2
+    assert "error: cannot write output" in capsys.readouterr().err
 
 
 def test_sweep_has_no_bins_flag(tmp_path, level_energy):

@@ -13,7 +13,7 @@ from pointbilliard.errors import PoleProximityError
 from pointbilliard.basis import BilliardSpec, mode_table_with_count
 from pointbilliard.greens import GreensAccuracy, GreensEvaluator, LocalGreens, ScattererSet
 from pointbilliard.rankone import reduce_full
-from pointbilliard.solver import _pole_mask
+from pointbilliard.solver import EnergyWindow, _pole_mask, solve_multi
 
 from conftest import (
     GENERIC_X,
@@ -100,7 +100,7 @@ def test_diag_curvature_matches_mode_sums_and_differences(ev1, golden):
         omega = gap_midpoint(ev, k)
         d = omega - ev.energies
         gap = ev.cutoff_energy - omega
-        curv, third = ev.diag_orders(0, omega, 2, 2)
+        curv, third = (g[0, 0] for g in ev.secular_orders(omega, 2, 2))
         terms = 2.0 * phi_sq / d ** 3  # of both signs: compare on the scale of their sizes
         assert abs(curv - (math.fsum(terms) - scale / gap ** 2)) <= 1e-12 * np.abs(terms).sum()
         assert third == pytest.approx(math.fsum(-6.0 * phi_sq / d ** 4) - 2.0 * scale / gap ** 3,
@@ -198,9 +198,52 @@ def test_sub_floor_mode_values_are_zero_in_every_column(golden, big_table):
     pole = float(e[np.flatnonzero(dropped)[600]])
     for omega in (gap_midpoint(ev, 400), gap_midpoint(ev, 1_500),
                   pole + 1e-6 * ev.mean_spacing, pole - 1e-6 * ev.mean_spacing):
-        curv = ev.diag_orders(0, omega, 2, 2)[0]
+        curv = ev.secular_orders(omega, 2)[0][0, 0]
         scale = np.abs(2.0 * phi_sq / (omega - e) ** 3).sum()
         assert abs(curv - f(omega)) <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_series_do_not_depend_on_the_couplings(golden, big_table, data):
+    # the series hold the geometry alone: two evaluators that differ only in
+    # their inverse couplings sum the same G, bit for bit, at orders 0 to 3,
+    # directly and through a near/far view
+    n = data.draw(st.integers(1, 4))
+    unit = st.floats(0.01, 0.99)
+    fractions = data.draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n, unique=True))
+    positions = [(fx * golden.lx, fy * golden.ly) for fx, fy in fractions]
+    couplings = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    a = make_evaluator(golden, big_table, positions, data.draw(couplings))
+    b = make_evaluator(golden, big_table, positions, data.draw(couplings))
+    first = data.draw(st.integers(100, 2_600))
+    lo, hi = float(a.energies[first]), float(a.energies[first + 40])
+    omegas = np.linspace(lo, hi, 7)[1:-1]
+    omegas = omegas[~np.isin(omegas, a.energies)]
+    views = a.local(lo, hi), b.local(lo, hi)
+    assert isinstance(views[0], LocalGreens) and isinstance(views[1], LocalGreens)
+    for x, y in ((a, b), views):
+        for k, (g, h) in enumerate(zip(x.secular_orders(omegas, 0, 4),
+                                       y.secular_orders(omegas, 0, 4))):
+            assert np.array_equal(g, h), k
+
+
+def test_with_inv_couplings_shares_the_series(ev2):
+    inv = (1.5, -0.25)
+    twin = ev2.with_inv_couplings(inv)
+    assert twin.scatterers == ScattererSet(ev2.scatterers.positions, inv, ev2.lam)
+    assert ev2.scatterers.inv_couplings == (0.3, -0.4)
+    for name in ("table", "energies", "_phi", "_columns", "_counterterm", "_deficiency"):
+        assert getattr(twin, name) is getattr(ev2, name)
+    omega = gap_midpoint(ev2, 420)
+    assert np.array_equal(twin.secular_matrix(omega), ev2.secular_orders(omega)[0] - np.diag(inv))
+    # and its levels are those of an evaluator built for the couplings
+    fresh = GreensEvaluator(ev2.billiard, twin.scatterers, ev2.accuracy, table=ev2.table)
+    window = EnergyWindow(float(ev2.energies[400]), float(ev2.energies[420]))
+    assert solve_multi(twin, window) == solve_multi(fresh, window)
+    for bad in ((0.3,), (math.nan, 0.0)):
+        with pytest.raises(ValidationError):
+            ev2.with_inv_couplings(bad)
 
 
 def test_secular_matrix_entries_and_batch(ev2):
@@ -250,7 +293,6 @@ def test_pole_exclusion_raises(ev2):
     for call in _checked_calls(ev2, pole + 10.0 * ev2.pole_exclusion):
         assert np.all(np.isfinite(call()))
     # the unchecked entry points of the root finders sum inside the band
-    assert all(map(np.isfinite, ev2.diag_orders(0, inside, 0, 2)))
     assert all(np.all(np.isfinite(m)) for m in ev2.secular_orders(inside, 0, 2))
 
 
@@ -391,12 +433,13 @@ def test_secular_matrix_core_properties(golden, big_table, data):
     for i in range(n):
         assert d[i, i] == ev.diag_derivative(i, omega)
     assert np.all(np.linalg.eigvalsh(d) < 0.0)
-    # both orders from one kernel, bit for bit the checked single-order calls
+    # both orders from one kernel, bit for bit the checked single-order calls;
+    # the series hold no coupling, secular_matrix subtracts it
     m_fused, d_fused = ev.secular_orders(omega, 0, 2)
-    assert np.array_equal(m_fused, m) and np.array_equal(d_fused, d)
+    assert np.array_equal(m_fused - np.diag(inv), m) and np.array_equal(d_fused, d)
     for i in range(n):
-        assert ev.diag_orders(i, omega, 0, 2) == [ev.diag(i, omega),
-                                                  ev.diag_derivative(i, omega)]
+        assert [g[..., i, i] for g in ev.secular_orders(omega, 0, 2)] == [
+            ev.diag(i, omega), ev.diag_derivative(i, omega)]
     h = 1e-4 * ev.nearest_level(omega)[0]
     # divide by the step actually taken: omega +- h rounds to the grid of
     # omega, which is coarse against h when omega sits close to a level
@@ -481,9 +524,10 @@ def test_diagonal_entry_does_not_depend_on_other_scatterers(golden, generic_poin
     for (a, b), points in (((one, two), 50), ((view_one, view_two), 1_000)):
         omegas = np.linspace(lo, hi, points + 2)[1:-1]
         for w in omegas[:50]:
-            assert a.diag_orders(0, w, 0, 2) == b.diag_orders(0, w, 0, 2)
-        for x, y in zip(a.diag_orders(0, omegas, 0, 2), b.diag_orders(0, omegas, 0, 2)):
-            assert np.array_equal(x, y)
+            assert ([g[..., 0, 0] for g in a.secular_orders(w, 0, 2)]
+                    == [g[..., 0, 0] for g in b.secular_orders(w, 0, 2)])
+        for x, y in zip(a.secular_orders(omegas, 0, 2), b.secular_orders(omegas, 0, 2)):
+            assert np.array_equal(x[..., 0, 0], y[..., 0, 0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -510,11 +554,11 @@ def test_local_view_matches_direct_sums(golden, big_table, data):
     kern = np.abs(1.0 / (omega - e))
     allowed = [[view.far_bound[k] + 1e3 * np.finfo(float).eps * math.factorial(k)
                 * (np.abs(ev._columns[c]) @ kern ** (k + 1)) for c in columns] for k in range(4)]
-    for k, (local, direct) in enumerate(zip(view._series(omega, columns, 0, 4),
-                                            ev._series(omega, columns, 0, 4))):
+    for k, (local, direct) in enumerate(zip(view._series(omega, 0, 4),
+                                            ev._series(omega, 0, 4))):
         for c in columns:
             assert abs(local[c] - direct[c]) <= allowed[k][c]
     # the public forms add the same constant and tail terms to those sums
-    for k, (local, direct) in enumerate(zip(view.diag_orders(0, omega, 0, 2),
-                                            ev.diag_orders(0, omega, 0, 2))):
-        assert abs(local - direct) <= 2.0 * allowed[k][ev._column[0, 0]]
+    for k, (local, direct) in enumerate(zip(view.secular_orders(omega, 0, 2),
+                                            ev.secular_orders(omega, 0, 2))):
+        assert abs(local[0, 0] - direct[0, 0]) <= 2.0 * allowed[k][ev._column[0, 0]]
