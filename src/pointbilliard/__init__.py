@@ -21,14 +21,11 @@ from .errors import (
 )
 from .extension import (
     ExtensionAngle,
-    SecularSample,
     angle_from_inv_coupling,
-    conjugate_samples,
     deficiency_gram,
     gram_invariant_defect,
     hermitian_conjugation_defect,
     inv_coupling_from_angle,
-    secular_sample,
     u_matrix,
     u_phase,
     unitarity_defect,

@@ -138,11 +138,6 @@ class ScattererSet:
     def couplings(self) -> tuple:
         return tuple(math.inf if v == 0.0 else 1.0 / v for v in self.inv_couplings)
 
-    def with_inv_coupling(self, index: int, value: float) -> "ScattererSet":
-        inv = list(self.inv_couplings)
-        inv[index] = float(value)
-        return ScattererSet(self.positions, tuple(inv), self.lambda_scale)
-
 
 @dataclass(frozen=True)
 class GreensAccuracy:
@@ -370,8 +365,8 @@ class GreensEvaluator(_SeriesForms):
                    if 0 <= k < self.n_eff)
 
     def check_pole_distance(self, omega):
-        """Reject non-finite real evaluation points and those inside the pole
-        exclusion band."""
+        """Reject non-finite real evaluation points, those inside the pole
+        exclusion band and those at or above the series cutoff."""
         if _is_complex(omega):
             if abs(omega.imag) > 0.0:
                 return
@@ -384,6 +379,9 @@ class GreensEvaluator(_SeriesForms):
             raise PoleProximityError(
                 omega, float(self.energies[hit[1]]), hit[1] + 1, self.pole_exclusion
             )
+        if omega >= self.cutoff_energy:
+            raise ValidationError(
+                f"omega={omega!r} is not below the series cutoff {self.cutoff_energy:g}")
 
     # -- diagonal (renormalised) series ----------------------------------
 

@@ -454,9 +454,7 @@ def build_eigenfunction(evaluator: GreensEvaluator, level: PerturbedLevel) -> Ei
     phi = evaluator.phi_values[:, 0]
     raw = phi / (omega - evaluator.energies)
     norm_sq = float(raw @ raw)
-    e_top = float(evaluator.energies[-1])
-    spec = evaluator.billiard
-    tail = spec.mass / (2.0 * math.pi) / (e_top - omega) if omega < e_top else 0.0
+    tail = -evaluator.tail_correction(omega, 1)
     normalization = 1.0 / math.sqrt(norm_sq + tail)
     coeff = normalization * raw
     return EigenfunctionRep(

@@ -14,7 +14,6 @@ import pytest
 
 from pointbilliard.extension import (
     ExtensionAngle,
-    conjugate_samples,
     hermitian_conjugation_defect,
     inv_coupling_from_angle,
     u_phase,
@@ -160,7 +159,7 @@ def test_extension_phase_free_of_cutoff_scale(golden, generic_point,
         inv = inv_coupling_from_angle(probe, ExtensionAngle(theta), 0)
         ev = make_evaluator(golden, big_table, [generic_point], [inv],
                             n_max=30_000, lambda_scale=lam)
-        phases.append(u_phase(*conjugate_samples(ev)))
+        phases.append(u_phase(ev))
         # first-order propagation of the truncation error through the
         # phase map: d(phase) <= 2 (lam*dC + dG) / |lam*C + i*inv|
         c_norm = ev.deficiency_norm_sq(0)

@@ -399,7 +399,7 @@ def test_sweep_rows_share_one_evaluator(tmp_path, level_energy, monkeypatch):
     rows = cli.cmd_sweep(config, [-0.5, 1.0], workers=2).rows
     assert len(built) == 1
     for row in rows:
-        scatterers = config.scatterers.with_inv_coupling(0, row["vbar_inv"])
+        scatterers = dataclasses.replace(config.scatterers, inv_couplings=(row["vbar_inv"],))
         stats = cli.cmd_stats(dataclasses.replace(config, scatterers=scatterers)).diagnostics
         assert row["status"] == "ok"
         assert (row["n_levels"], row["ks_poisson"], row["ks_goe"]) == (

@@ -5,18 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointbilliard import ValidationError
 from pointbilliard.extension import (
     ExtensionAngle,
-    SecularSample,
     angle_from_inv_coupling,
-    conjugate_samples,
     deficiency_gram,
     gram_invariant_defect,
     hermitian_conjugation_defect,
     inv_coupling_from_angle,
-    secular_sample,
     u_matrix,
     u_phase,
     unitarity_defect,
@@ -27,8 +26,7 @@ from conftest import make_evaluator
 
 def test_single_scatterer_phase_matches_angle(ev1_30k):
     theta = angle_from_inv_coupling(ev1_30k, ev1_30k.scatterers.inv_couplings[0], 0)
-    plus, minus = conjugate_samples(ev1_30k)
-    u = u_phase(plus, minus)
+    u = u_phase(ev1_30k)
     expected = -cmath.exp(1j * theta.theta)
     assert abs(u - expected) < 1e-6
 
@@ -39,6 +37,22 @@ def test_angle_coupling_roundtrip(ev1):
         assert 0.0 < theta.theta < 2.0 * math.pi
         back = inv_coupling_from_angle(ev1, theta, 0)
         assert back == pytest.approx(inv, abs=1e-12 * (1.0 + abs(inv)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inv=st.floats(allow_nan=False, allow_infinity=False),
+       lam=st.sampled_from((1e-300, 1.0, 5.0)))
+def test_angle_stays_strictly_inside_the_circle(golden, generic_point, big_table, inv, lam):
+    # 2*atan2(Lambda*C, inv) rounds to 2*pi for inv far below -Lambda*C, and
+    # to 0 far above it once Lambda*C is tiny; neither is a valid angle here
+    ev = make_evaluator(golden, big_table, [generic_point], [0.0], lambda_scale=lam)
+    angle = angle_from_inv_coupling(ev, inv, 0)
+    assert 0.0 < angle.theta < 2.0 * math.pi
+    try:
+        back = inv_coupling_from_angle(ev, angle, 0)
+    except ValidationError:  # so near the decoupled limit that it overflows
+        return
+    assert math.isfinite(back)
 
 
 def test_angle_zero_is_decoupled_limit(ev1):
@@ -56,13 +70,11 @@ def test_boundary_angle_pi_is_zero_inverse_coupling(ev1):
 
 
 def test_single_scatterer_unitarity(ev1):
-    plus, minus = conjugate_samples(ev1)
-    assert unitarity_defect(plus, minus) < 1e-12
+    assert unitarity_defect(ev1) < 1e-12
 
 
 def test_u_matrix_shape_and_finiteness(ev2):
-    plus, minus = conjugate_samples(ev2)
-    u = u_matrix(plus, minus)
+    u = u_matrix(ev2)
     assert u.shape == (2, 2)
     assert np.all(np.isfinite(u))
 
@@ -75,13 +87,12 @@ def test_hermitian_conjugation_law(ev2):
 
 
 def test_gram_matrix_invariant_under_u(ev2):
-    plus, minus = conjugate_samples(ev2)
-    gram = deficiency_gram(plus, minus)
+    gram = deficiency_gram(ev2)
     assert gram.shape == (2, 2)
     # diagonal of the gram matrix is the deficiency norm at each scatterer
     for i in range(2):
         assert gram[i, i] == pytest.approx(ev2.deficiency_norm_sq(i), rel=1e-12)
-    assert gram_invariant_defect(plus, minus) < 1e-12
+    assert gram_invariant_defect(ev2) < 1e-12
 
 
 def test_pair_unitarity_defect_is_intrinsic(golden, generic_point,
@@ -93,8 +104,7 @@ def test_pair_unitarity_defect_is_intrinsic(golden, generic_point,
     for n_max in (3_000, 30_000):
         ev = make_evaluator(golden, big_table, [generic_point, second_point],
                             [0.3, -0.4], n_max=n_max)
-        plus, minus = conjugate_samples(ev)
-        defects[n_max] = unitarity_defect(plus, minus)
+        defects[n_max] = unitarity_defect(ev)
     assert defects[3_000] > 1e-3
     assert abs(defects[3_000] - defects[30_000]) < 1e-3
 
@@ -110,29 +120,30 @@ def test_phase_independent_of_reference_scale(golden, generic_point, big_table):
         inv = inv_coupling_from_angle(probe, ExtensionAngle(theta), 0)
         ev = make_evaluator(golden, big_table, [generic_point], [inv],
                             n_max=30_000, lambda_scale=lam)
-        plus, minus = conjugate_samples(ev)
-        phases.append(cmath.phase(u_phase(plus, minus)) % (2.0 * math.pi))
+        phases.append(cmath.phase(u_phase(ev)) % (2.0 * math.pi))
     spread = max(phases) - min(phases)
     assert spread < 1e-10
 
 
-def test_conjugate_samples_sit_at_imaginary_scale(ev1):
-    plus, minus = conjugate_samples(ev1)
-    assert plus.omega == 1j * ev1.lam
-    assert minus.omega == -1j * ev1.lam
-    assert plus.n == 1
+@pytest.mark.parametrize("lam", [0.5, 5.0])
+@pytest.mark.parametrize("n", [1, 3])
+def test_diagnostics_sample_the_pair_at_imaginary_scale(golden, generic_point, second_point,
+                                                         big_table, monkeypatch, n, lam):
+    positions = [generic_point, second_point, (0.2 * golden.lx, 0.8 * golden.ly)][:n]
+    ev = make_evaluator(golden, big_table, positions, [0.3, -0.4, 1.1][:n], lambda_scale=lam)
+    points, secular_matrix = [], ev.secular_matrix
 
+    def recorded(omega):
+        points.append(omega)
+        return secular_matrix(omega)
 
-def test_secular_sample_validation(ev1):
-    sample = secular_sample(ev1, 1j * ev1.lam)
-    assert sample.matrix.shape == (1, 1)
-    with pytest.raises(ValidationError):
-        SecularSample(1j, np.zeros((2, 3), dtype=complex))
-    with pytest.raises(ValidationError):
-        SecularSample(1j, np.array([[math.nan]], dtype=complex))
+    monkeypatch.setattr(ev, "secular_matrix", recorded)
+    for diagnostic in (u_matrix, gram_invariant_defect):
+        points.clear()
+        diagnostic(ev)
+        assert points == [1j * lam, -1j * lam]
 
 
 def test_u_phase_rejects_multi_scatterer(ev2):
-    plus, minus = conjugate_samples(ev2)
     with pytest.raises(ValidationError):
-        u_phase(plus, minus)
+        u_phase(ev2)

@@ -13,7 +13,7 @@ from pointbilliard.errors import PoleProximityError
 from pointbilliard.basis import BilliardSpec, mode_table_with_count
 from pointbilliard.greens import GreensAccuracy, GreensEvaluator, LocalGreens, ScattererSet
 from pointbilliard.rankone import reduce_full
-from pointbilliard.solver import EnergyWindow, _pole_mask, solve_multi
+from pointbilliard.solver import EnergyWindow, _pole_mask, solve_multi, truncation_shift_bound
 
 from conftest import (
     GENERIC_X,
@@ -309,6 +309,26 @@ def test_non_finite_energy_is_rejected(ev2, omega):
             call()
 
 
+def test_real_energy_at_or_above_the_cutoff_is_rejected(ev2):
+    # the mean-field tail holds below the cutoff only: above it diag_derivative
+    # came out positive and truncation_shift_bound answered
+    top, band = ev2.cutoff_energy, ev2.pole_exclusion
+    for omega in (top + 0.3 * ev2.mean_spacing, 2.0 * top):
+        calls = (
+            *_checked_calls(ev2, omega),
+            lambda: ev2.unregularized_partial_sums(0, omega, [50]),
+            lambda: truncation_shift_bound(ev2, 0, omega),
+            lambda: reduce_full(ev2, omega),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="series cutoff"):
+                call()
+    # in the top pole's band the pole check still answers first
+    for omega in (top, top + 0.5 * band):
+        with pytest.raises(PoleProximityError):
+            ev2.check_pole_distance(omega)
+
+
 def test_unregularized_sums_match_bruteforce(golden, generic_point, big_table):
     ev = make_evaluator(golden, big_table, [generic_point], [0.3], n_max=300)
     omega = gap_midpoint(ev, 100)
@@ -353,7 +373,7 @@ def test_scatterer_set_validation():
     sc = ScattererSet.from_couplings(((0.1, 0.2),), (4.0,))
     assert sc.inv_couplings == (0.25,)
     assert sc.couplings() == (4.0,)
-    assert sc.with_inv_coupling(0, 0.0).couplings() == (math.inf,)
+    assert ScattererSet(sc.positions, (0.0,)).couplings() == (math.inf,)
 
 
 def test_accuracy_validation():
