@@ -14,8 +14,10 @@ Truncation handling, one policy for every evaluation:
   1/(omega-E) + E/(E^2+lam^2) is log(sqrt(E^2+lam^2)) - log|omega-E| (up to
   sign), giving the closed tail (mass/2pi) * log((E_c - omega)/sqrt(E_c^2 +
   lam^2)), negative for 0 < omega < E_c.  The complex-log form of the same
-  expression serves evaluations off the real axis.  The bare series without
-  it diverges; unregularized_partial_sums shows that.
+  expression serves evaluations off the real axis; at omega = i lam the
+  counterterm cancels the real part of every term, so the deficiency norm is
+  -Im diag(i lam)/lam, tail included.  The bare series without it diverges;
+  unregularized_partial_sums shows that.
 
 * off-diagonal: the running partial sum is averaged over the last three
   energy windows of one mean spacing each.  That average is algebraically a
@@ -32,16 +34,17 @@ poles and the survey's curvature see the same weights.
 Every series is a pass of one kernel, _sums, giving omega-derivatives of chosen
 orders over a slice of the modes.  The series hold no coupling: the secular
 matrix is G - diag(inv_couplings), and only secular_matrix and the solver
-subtract the couplings, so one evaluator or view serves any of them.  diag,
-diag_derivative, offdiag, secular_matrix and the two _batch forms first reject
-a non-finite omega or one inside the pole exclusion band; the unchecked
-secular_orders, of G, serves the root finders, whose probes come within a few
-ulps of a pole, and takes an array of omegas, one kernel row per point.  Every
-sum is a row reduction, one BLAS dot per point and weight column (np.vecdot),
-never a matrix product, so an entry is the same bit for bit whichever other
-points and columns are evaluated with it: a point alone or in a batch, a
-scatterer alone or among others.  The evaluator's own full-length sums take
-the points one at a time, so no points x n_eff kernel is formed.
+subtract the couplings, so one evaluator or view serves any of them.  Every form
+takes one omega or an array, one kernel row per point.  diag, diag_derivative,
+offdiag, secular_matrix and the two _batch forms first reject, by
+check_pole_distance, a point with a non-finite part and a real one inside the
+pole exclusion band or at or above the cutoff; the unchecked secular_orders, of
+G, serves the root finders, whose probes come within a few ulps of a pole.
+Every sum is a row reduction, one BLAS dot per point and weight column
+(np.vecdot), never a matrix product, so an entry is the same bit for bit
+whichever other points and columns are evaluated with it: a point alone or in a
+batch, a scatterer alone or among others.  The evaluator's own full-length sums
+take the points one at a time, so no points x n_eff kernel is formed.
 
 Near/far split (GreensEvaluator.local): over a block [lo, hi] of gaps the
 series splits at the modes in [lo, hi] plus LOCAL_NEIGHBOURS on each side.
@@ -150,10 +153,6 @@ class GreensAccuracy:
             raise ValidationError(f"n_max must be >= 1, got {self.n_max}")
 
 
-def _is_complex(omega) -> bool:
-    return isinstance(omega, complex) or np.iscomplexobj(omega)
-
-
 def _sums(omega, energies, weights, first: int = 0, count: int = 1):
     """Order-k omega-derivatives of sum_n w[n] / (omega - e_n) over the given
     energies for each row w of the (columns, energies) array weights, one
@@ -259,11 +258,9 @@ class GreensEvaluator(_SeriesForms):
         phi = np.column_stack([basis_column(self.table, p) for p in scatterers.positions])
         phi[phi ** 2 <= self.pole_weight_floor] = 0.0
         self._phi = phi
-        lam2 = self.lam ** 2
-        denom = self.energies ** 2 + lam2
+        denom = self.energies ** 2 + self.lam ** 2
         # one 1-D sum per scatterer, so an entry does not depend on the others
         self._counterterm = np.array([(p ** 2 * (self.energies / denom)).sum() for p in phi.T])
-        self._deficiency = np.array([(p ** 2 / denom).sum() for p in phi.T])
         self._profile = self._block_profile()
         # weight column c of the series, row c here, one per upper-triangle entry
         # (i, j) of the secular matrix, the N diagonal ones first: phi_i phi_j,
@@ -358,30 +355,26 @@ class GreensEvaluator(_SeriesForms):
             return self
         return LocalGreens(self, lo, hi, n0, n1, bound)
 
-    def nearest_level(self, omega: float):
-        """(distance, 0-based index) of the closest unperturbed level."""
-        pos = int(np.searchsorted(self.energies, omega))
-        return min((abs(omega - self.energies[k]), k) for k in (pos - 1, pos)
-                   if 0 <= k < self.n_eff)
-
     def check_pole_distance(self, omega):
-        """Reject non-finite real evaluation points, those inside the pole
-        exclusion band and those at or above the series cutoff."""
-        if _is_complex(omega):
-            if abs(omega.imag) > 0.0:
-                return
-            omega = omega.real
-        omega = float(omega)
-        if not math.isfinite(omega):
-            raise ValidationError(f"omega {omega!r} must be finite")
-        hit = self.nearest_level(omega)
-        if hit is not None and hit[0] < self.pole_exclusion:
-            raise PoleProximityError(
-                omega, float(self.energies[hit[1]]), hit[1] + 1, self.pole_exclusion
-            )
-        if omega >= self.cutoff_energy:
-            raise ValidationError(
-                f"omega={omega!r} is not below the series cutoff {self.cutoff_energy:g}")
+        """Reject the first point of omega, one point or an array, that is not finite,
+        then the first real one in a pole's exclusion band, then one at or above the cutoff."""
+        omega = np.ravel(omega)
+        finite = np.isfinite(omega)
+        if not finite.all():
+            raise ValidationError(f"omega {omega[~finite][0].item()!r} must be finite")
+        omega, e = omega.real[omega.imag == 0.0], self.energies
+        pos = np.searchsorted(e, omega)
+        sides = np.clip([pos - 1, pos], 0, self.n_eff - 1)  # argmin takes the lower on a tie
+        gaps = np.abs(omega - e[sides])
+        inside = gaps.min(axis=0) < self.pole_exclusion
+        if inside.any():
+            k = np.argmax(inside)
+            j = int(sides[np.argmin(gaps[:, k]), k])
+            raise PoleProximityError(float(omega[k]), float(e[j]), j + 1, self.pole_exclusion)
+        top = omega >= self.cutoff_energy
+        if top.any():
+            raise ValidationError(f"omega={float(omega[np.argmax(top)])!r} is not below "
+                                  f"the series cutoff {self.cutoff_energy:g}")
 
     # -- diagonal (renormalised) series ----------------------------------
 
@@ -394,7 +387,7 @@ class GreensEvaluator(_SeriesForms):
         scale = self.billiard.mass / (2.0 * math.pi)
         if order:
             return -scale * math.factorial(order - 1) / (ec - omega) ** order
-        if not _is_complex(omega) and (np.asarray(omega) >= ec).any():
+        if not np.iscomplexobj(omega) and (np.asarray(omega) >= ec).any():
             raise ValidationError(
                 f"omega={omega!r} is not below the series cutoff {ec:g}")
         return scale * (np.log(ec - omega) - 0.5 * math.log(ec * ec + self.lam * self.lam))
@@ -402,12 +395,12 @@ class GreensEvaluator(_SeriesForms):
     def diag(self, i: int, omega):
         """Renormalised diagonal Green function at scatterer i."""
         self.check_pole_distance(omega)
-        return self.secular_orders(omega)[0][i, i]
+        return self.secular_orders(omega)[0][..., i, i]
 
     def diag_derivative(self, i: int, omega):
         """d/domega of the renormalised diagonal series (always negative)."""
         self.check_pole_distance(omega)
-        return self.secular_orders(omega, 1)[0][i, i]
+        return self.secular_orders(omega, 1)[0][..., i, i]
 
     def counterterm(self, i: int) -> float:
         """The subtraction constant sum phi^2 * eps/(eps^2+lam^2) at scatterer i."""
@@ -433,13 +426,13 @@ class GreensEvaluator(_SeriesForms):
 
     def deficiency_norm_sq(self, i: int) -> float:
         """sum phi_n(x_i)^2/(e_n^2 + lam^2) plus its mean-field tail above the
-        cutoff, (mass/2pi) atan2(lam, E_c)/lam.
+        cutoff, read as -Im diag(i, i lam)/lam: at omega = i lam the
+        counterterm cancels the real part of every term, tail included.
 
         This is the squared norm of the deficiency vector attached to
         scatterer i and the series behind the angle <-> coupling map.
         """
-        tail = self.billiard.mass / (2.0 * math.pi) * math.atan2(self.lam, self.cutoff_energy)
-        return float(self._deficiency[i]) + tail / self.lam
+        return float(-self.diag(i, 1j * self.lam).imag / self.lam)
 
     # -- off-diagonal series ----------------------------------------------
 
@@ -450,7 +443,7 @@ class GreensEvaluator(_SeriesForms):
                 "off-diagonal series requires distinct scatterer indices; "
                 "the i == j case is the renormalised diagonal diag()")
         self.check_pole_distance(omega)
-        return self.secular_orders(omega)[0][i, j]
+        return self.secular_orders(omega)[0][..., i, j]
 
     # -- secular matrix ----------------------------------------------------
 
@@ -461,16 +454,16 @@ class GreensEvaluator(_SeriesForms):
         return self.secular_orders(omega)[0] - np.diag(self.scatterers.inv_couplings)
 
     def secular_matrix_batch(self, omegas) -> np.ndarray:
-        """Stacked secular matrices for a vector of real omegas."""
+        """secular_matrix for an array of real omegas, shape omegas.shape + (N, N)."""
         omegas = np.asarray(omegas, dtype=float)
-        mats = [self.secular_matrix(float(w)) for w in omegas.ravel()]
-        return np.array(mats).reshape(omegas.shape + (self.n, self.n))
+        self.check_pole_distance(omegas)
+        return self.secular_orders(omegas)[0] - np.diag(self.scatterers.inv_couplings)
 
     def diag_batch(self, i: int, omegas) -> np.ndarray:
-        """diag(i, omega) for a vector of real omegas."""
+        """diag(i, omega) for an array of real omegas."""
         omegas = np.asarray(omegas, dtype=float)
-        values = [self.diag(i, float(w)) for w in omegas.ravel()]
-        return np.array(values).reshape(omegas.shape)
+        self.check_pole_distance(omegas)
+        return self.secular_orders(omegas)[0][..., i, i]
 
     # -- divergence witnesses ----------------------------------------------
 
@@ -482,8 +475,10 @@ class GreensEvaluator(_SeriesForms):
         -(mass/2pi) * log((E_K2 - omega)/(E_K1 - omega)).
         """
         self.check_pole_distance(omega)
-        counts = [int(k) for k in truncations]
+        counts = list(truncations)
         for k in counts:
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+                raise ValidationError(f"truncation {k!r} is not an integer")
             if not 1 <= k <= self.n_eff:
                 raise ValidationError(
                     f"truncation {k} outside the table (1..{self.n_eff})")

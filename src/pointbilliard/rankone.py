@@ -37,13 +37,12 @@ def _decompose_arrays(evaluator: GreensEvaluator, omegas: np.ndarray):
     weights = 1.0 / (omegas[:, None] - energies)
     inv = np.asarray(evaluator.scatterers.inv_couplings, dtype=float)
     ct = np.array([evaluator.counterterm(i) for i in range(evaluator.n)])
-    tail = np.array([evaluator.tail_correction(w) for w in omegas])
     # diagonal keeps full per-mode weight 1; the averaged rows only carry
     # what, so the shortfall (1 - what) * phi^2 returns to the diagonal (the
     # top mode's weight is 0, so some mode always falls short)
     short = 1.0 - what
     live = short > 0.0
-    d0 = (ct[None, :] - inv[None, :] + tail[:, None]
+    d0 = (ct[None, :] - inv[None, :] + evaluator.tail_correction(omegas)[:, None]
           + weights[:, live] @ (short[live, None] * phi[live] ** 2))
     return d0, vectors, weights
 
@@ -60,8 +59,7 @@ def reduce_full_batch(evaluator: GreensEvaluator, omegas) -> np.ndarray:
     must keep the usual pole-exclusion distance from every unperturbed level.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    for w in omegas:
-        evaluator.check_pole_distance(float(w))
+    evaluator.check_pole_distance(omegas)
     d, vectors, weights = _decompose_arrays(evaluator, omegas)
     for d, _ in _absorptions(d, vectors, weights):
         pass

@@ -209,6 +209,8 @@ def ks_distance(spacings, reference) -> float:
     n = sample.size
     if n == 0:
         raise ValidationError("cannot compute a KS distance from an empty sample")
+    if not np.all(np.isfinite(sample)):
+        raise ValidationError("spacings must be finite")
     if callable(reference):
         cdf = np.asarray(reference(sample), dtype=float)
     else:

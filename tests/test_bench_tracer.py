@@ -9,7 +9,7 @@ import pointbilliard
 import pointbilliard.cli  # noqa: F401  (the tracer patches cli names too)
 from pointbilliard.greens import GreensAccuracy, GreensEvaluator, ScattererSet
 
-from conftest import gap_midpoint
+from conftest import gap_midpoint, make_evaluator
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -37,3 +37,21 @@ def test_tracer_installs_and_uninstalls(golden, generic_point, big_table):
     assert {"greens.evaluator_init", "greens.diag"} <= names
     assert (GreensEvaluator.diag, GreensEvaluator.secular_matrix,
             GreensEvaluator.diag_batch, np.linalg.eigvalsh) == originals
+
+
+def test_batch_forms_record_one_span_each(golden, generic_point, second_point, big_table):
+    # a batch is one read of the series, not a loop over the scalar forms,
+    # whose spans would nest inside it and count each energy twice
+    tracer = _load_spans().Tracer(pointbilliard)
+    try:
+        tracer.install()
+        ev = make_evaluator(golden, big_table, [generic_point, second_point], [0.3, -0.4],
+                            n_max=300)
+        omegas = np.array([gap_midpoint(ev, k) for k in (40, 80, 120, 160)])
+        ev.diag_batch(1, omegas)
+        ev.secular_matrix_batch(omegas.reshape(2, 2))
+    finally:
+        tracer.uninstall()
+    series = [(span[0], span[6].get("batch")) for span in tracer.spans
+              if span[0].startswith("greens.") and span[0] != "greens.evaluator_init"]
+    assert series == [("greens.diag_batch", 4), ("greens.secular_matrix_batch", 4)]

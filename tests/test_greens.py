@@ -107,7 +107,7 @@ def test_diag_curvature_matches_mode_sums_and_differences(ev1, golden):
                                       rel=1e-12)
         assert third < 0.0
         # and the central difference of the analytic slope
-        h = 1e-5 * ev.nearest_level(omega)[0]
+        h = 1e-5 * np.min(np.abs(ev.energies - omega))
         up, down = omega + h, omega - h
         fd = (ev.diag_derivative(0, up) - ev.diag_derivative(0, down)) / (up - down)
         assert curv == pytest.approx(fd, rel=1e-6)
@@ -115,15 +115,21 @@ def test_diag_curvature_matches_mode_sums_and_differences(ev1, golden):
         assert ev.tail_correction(omega, 1) == -scale / gap
 
 
-def test_diag_at_imaginary_scale_equals_deficiency(ev1):
-    # exact identity including both integral tails
-    lam = ev1.lam
-    c = ev1.deficiency_norm_sq(0)
-    value = ev1.diag(0, 1j * lam)
-    assert abs(value.real) < 1e-13
-    assert value.imag == pytest.approx(-lam * c, rel=1e-12)
-    conj = ev1.diag(0, -1j * lam)
-    assert conj == pytest.approx(np.conj(value), rel=1e-14)
+def test_diag_at_imaginary_scale_equals_deficiency(golden, generic_point, big_table):
+    # oracle: the closed form sum phi^2/(e^2 + lam^2) + (M/2pi) atan2(lam, E_c)/lam,
+    # the mode sum plus its mean-field tail; at i lam the counterterm cancels
+    # the real part of every term, so diag(i lam) = -i lam C
+    for lam in (1e-300, 1e-3, 1.0, 1e3):
+        ev = make_evaluator(golden, big_table, [generic_point], [0.3], lambda_scale=lam)
+        phi_sq, e = ev.phi_values[:, 0] ** 2, ev.energies
+        oracle = (math.fsum(phi_sq / (e * e + lam * lam))
+                  + golden.mass / (2.0 * math.pi) * math.atan2(lam, ev.cutoff_energy) / lam)
+        assert ev.deficiency_norm_sq(0) == pytest.approx(oracle, rel=1e-12)
+        value = ev.diag(0, 1j * lam)
+        assert abs(value.real) < 1e-13
+        assert value.imag == pytest.approx(-lam * oracle, rel=1e-12)
+        conj = ev.diag(0, -1j * lam)
+        assert conj == pytest.approx(np.conj(value), rel=1e-14)
 
 
 def test_offdiag_is_symmetric(ev2):
@@ -233,7 +239,7 @@ def test_with_inv_couplings_shares_the_series(ev2):
     twin = ev2.with_inv_couplings(inv)
     assert twin.scatterers == ScattererSet(ev2.scatterers.positions, inv, ev2.lam)
     assert ev2.scatterers.inv_couplings == (0.3, -0.4)
-    for name in ("table", "energies", "_phi", "_columns", "_counterterm", "_deficiency"):
+    for name in ("table", "energies", "_phi", "_columns", "_counterterm"):
         assert getattr(twin, name) is getattr(ev2, name)
     omega = gap_midpoint(ev2, 420)
     assert np.array_equal(twin.secular_matrix(omega), ev2.secular_orders(omega)[0] - np.diag(inv))
@@ -252,23 +258,27 @@ def test_secular_matrix_entries_and_batch(ev2):
     assert m.shape == (2, 2)
     assert np.allclose(m, m.T, rtol=0, atol=0)
     for i in range(2):
-        expected = ev2.diag(i, omega) - ev2.scatterers.inv_couplings[i]
-        assert m[i, i] == pytest.approx(expected, rel=1e-14)
-    assert m[0, 1] == pytest.approx(ev2.offdiag(0, 1, omega), rel=1e-14)
+        assert m[i, i] == ev2.diag(i, omega) - ev2.scatterers.inv_couplings[i]
+    assert m[0, 1] == ev2.offdiag(0, 1, omega)
 
+    # a batch, and the checked form on the same array, is bit for bit the scalar loop
     omegas = np.array([gap_midpoint(ev2, k) for k in (100, 200, 300)])
-    batch = ev2.secular_matrix_batch(omegas)
-    assert batch.shape == (3, 2, 2)
-    for b, w in enumerate(omegas):
-        assert np.allclose(batch[b], ev2.secular_matrix(float(w)),
-                           rtol=1e-14, atol=0)
+    for points in (omegas, np.array([omegas, omegas[::-1] + 0.25 * ev2.mean_spacing])):
+        batch = ev2.secular_matrix_batch(points)
+        assert batch.shape == points.shape + (2, 2)
+        assert np.array_equal(ev2.secular_matrix(points), batch)
+        loop = np.array([ev2.secular_matrix(float(w)) for w in points.ravel()])
+        assert np.array_equal(batch, loop.reshape(batch.shape))
 
 
 def test_diag_batch_equals_scalar_loop(ev1):
     omegas = np.array([gap_midpoint(ev1, k) for k in (50, 150, 250, 350)])
-    batch = ev1.diag_batch(0, omegas)
-    for b, w in enumerate(omegas):
-        assert batch[b] == pytest.approx(ev1.diag(0, float(w)), rel=1e-14)
+    for points in (omegas, omegas.reshape(2, 2)):
+        batch = ev1.diag_batch(0, points)
+        assert batch.shape == points.shape
+        assert np.array_equal(ev1.diag(0, points), batch)
+        loop = np.array([ev1.diag(0, float(w)) for w in points.ravel()])
+        assert np.array_equal(batch, loop.reshape(batch.shape))
 
 
 def _checked_calls(ev, omega):
@@ -296,14 +306,17 @@ def test_pole_exclusion_raises(ev2):
     assert all(np.all(np.isfinite(m)) for m in ev2.secular_orders(inside, 0, 2))
 
 
-@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf,
+                                   complex(math.nan, 1.0), complex(1.0, math.nan),
+                                   complex(math.inf, 1.0), complex(0.0, math.inf)])
 def test_non_finite_energy_is_rejected(ev2, omega):
     # nan sits at no distance from any pole, so the pole gate let it through
-    # and every entry point returned nan (inf for diag at -inf)
-    calls = (
-        *_checked_calls(ev2, omega),
-        lambda: reduce_full(ev2, omega),
-    )
+    # and every entry point returned nan (inf for diag at -inf); off the real
+    # axis it let every point through, and (1, nan) it took for the real 1.0
+    if isinstance(omega, complex):  # the batch forms and reduce_full take real omegas
+        calls = _checked_calls(ev2, omega)[:4]
+    else:
+        calls = (*_checked_calls(ev2, omega), lambda: reduce_full(ev2, omega))
     for call in calls:
         with pytest.raises(ValidationError, match="must be finite"):
             call()
@@ -327,6 +340,50 @@ def test_real_energy_at_or_above_the_cutoff_is_rejected(ev2):
     for omega in (top, top + 0.5 * band):
         with pytest.raises(PoleProximityError):
             ev2.check_pole_distance(omega)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_check_raises_as_its_points_do(ev2, data):
+    # an array raises for its first non-finite point, else its first point in
+    # a pole band, else its first at or above the cutoff: the error that point
+    # raises alone; an array of points that each pass, passes
+    e, band, top = ev2.energies, ev2.pole_exclusion, ev2.cutoff_energy
+    level = st.integers(0, ev2.n_eff - 1)
+    good = st.builds(lambda k, f: float(e[k] + f * (e[k + 1] - e[k])),
+                     st.integers(0, ev2.n_eff - 2), st.floats(0.01, 0.99))
+    in_band = st.builds(lambda k, f: float(e[k] + f * band), level, st.floats(-0.99, 0.99))
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+    above = st.builds(lambda f: top + (1.0 + f) * band, st.floats(0.0, 1e12))
+    points = data.draw(st.lists(st.one_of(good, in_band, non_finite, above), max_size=6))
+
+    def outcome(call):
+        try:
+            call()
+        except (ValidationError, PoleProximityError) as exc:
+            if "must be finite" in str(exc):
+                return 0, type(exc), str(exc)
+            return 1 if isinstance(exc, PoleProximityError) else 2, type(exc), str(exc)
+        return None
+
+    alone = [r for r in (outcome(lambda w=w: ev2.check_pole_distance(w)) for w in points) if r]
+    expected = min(alone, key=lambda r: r[0]) if alone else None  # min keeps the first of a rank
+    assert outcome(lambda: ev2.check_pole_distance(np.array(points))) == expected
+    assert outcome(lambda: ev2.diag_batch(0, points)) == expected
+
+
+def test_unregularized_sums_take_integer_counts_only(ev1):
+    # a fractional or boolean count was truncated by int(): [1.5, True] gave the
+    # one-mode sum twice
+    omega = gap_midpoint(ev1, 100)
+    sums = ev1.unregularized_partial_sums(0, omega, [50, 300])
+    assert ev1.unregularized_partial_sums(0, omega, np.array([50, 300])) == sums
+    for counts in ([1.5, True], [True], [50.0], [np.bool_(True)]):
+        with pytest.raises(ValidationError, match="not an integer"):
+            ev1.unregularized_partial_sums(0, omega, counts)
+    for counts in ([0], [50, ev1.n_eff + 1]):
+        with pytest.raises(ValidationError, match="outside the table"):
+            ev1.unregularized_partial_sums(0, omega, counts)
 
 
 def test_unregularized_sums_match_bruteforce(golden, generic_point, big_table):
@@ -460,7 +517,7 @@ def test_secular_matrix_core_properties(golden, big_table, data):
     for i in range(n):
         assert [g[..., i, i] for g in ev.secular_orders(omega, 0, 2)] == [
             ev.diag(i, omega), ev.diag_derivative(i, omega)]
-    h = 1e-4 * ev.nearest_level(omega)[0]
+    h = 1e-4 * np.min(np.abs(ev.energies - omega))
     # divide by the step actually taken: omega +- h rounds to the grid of
     # omega, which is coarse against h when omega sits close to a level
     up, down = omega + h, omega - h

@@ -134,6 +134,12 @@ def test_ks_metric_properties():
     assert ks_distance(a + 50.0, "poisson") == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValidationError):
         ks_distance([], "poisson")
+    # a nan spacing made the statistic nan, and an infinite one counted as a
+    # spacing beyond all of the reference's mass, on either reference path
+    for sample in ([math.nan, 1.0], [math.inf, 1.0], [1.0, 2.0, -math.inf]):
+        for reference in ("poisson", lambda s: 1.0 - np.exp(-s)):
+            with pytest.raises(ValidationError, match="spacings must be finite"):
+                ks_distance(sample, reference)
 
 
 def test_unperturbed_rectangle_spacings_are_poisson_like(golden, big_table):
